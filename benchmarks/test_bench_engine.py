@@ -1,6 +1,6 @@
 """Benches for the fast engine: kernel speedup, batching, warm-cache startup.
 
-Six acceptance properties of the engine live here:
+Seven acceptance properties of the engine live here:
 
 * the vectorized kernels replay the 32KB/32-way way-placement configuration
   at least ~5x faster than the reference schemes (measured as events/sec on
@@ -14,9 +14,10 @@ Six acceptance properties of the engine live here:
 * the static pruning certificate (``--prune-static``) collapses at least
   20% of that 256-point sweep to representatives with bit-identical
   reports, at least halving the batch tier's wall time;
-* the sharded execution backend replays a 16-point sweep bit-identically
-  to the serial run — including under seeded chaos that crashes every
-  shard's first lease (``chaos_identical``, guarded by the compare gate);
+* a warm store load of a line-event trace (mmap'd entry directory) is at
+  least 50x faster than re-deriving the same events from the block trace;
+* a parallel grid on a warm store is faster than on a cold one, with
+  bit-identical reports;
 * a second ``ExperimentRunner`` process with a warm persistent cache starts
   up much faster than a cold one because it performs no CFG walks at all.
 
@@ -288,171 +289,78 @@ def test_bench_pruned_sweep_256(benchmark, tmp_path_factory):
     )
 
 
-def test_bench_sharded_sweep(benchmark, tmp_path_factory):
-    """A 16-point WPA sweep on the fault-tolerant sharded backend.
+def test_bench_store_load_events(benchmark, tmp_path_factory):
+    """Warm ``TraceStore.load_events`` vs re-deriving the same events.
 
-    The load-bearing claim is not wall clock — sharding pays process
-    overhead to buy fault isolation — but *identity under faults*: a
-    seeded chaos run in which every shard's first lease crashes must
-    still deliver reports bit-identical to the fault-free serial run
-    (``chaos_identical`` = 1.0, guarded by the bench compare gate), with
-    every incident recovered.
+    A store hit maps the entry's raw ``.npy`` members and hands back
+    page-cache-backed views at a near-constant few file opens; a miss
+    re-runs line-event expansion over the whole block trace.  Measured on
+    the largest bundled workload trace the benches build (susan_c walked
+    for 2M instructions): warm loads (page cache hot, best-of-N over a
+    10-load inner loop) must clear 50x.  Recorded, not guarded by the
+    compare gate: the ratio varies between runs by more than its
+    tolerance.
     """
-    from repro.experiments.runner import ExperimentRunner
-    from repro.resilience import chaos
-    from repro.resilience.chaos import ChaosConfig, ChaosRule
-    from repro.resilience.policy import ResilienceConfig
+    import numpy as np
 
-    cache = tmp_path_factory.mktemp("sharded-cache")
-    cells = [
-        GridCell("susan_c", "way-placement", wpa_size=point * KB)
-        for point in range(1, 17)
-    ]
-
-    def make(backend):
-        return ExperimentRunner(
-            cache_dir=cache,
-            resilience=ResilienceConfig(
-                retries=3,
-                backoff_s=0.01,
-                timeout_s=120.0,
-                backend=backend,
-                shards=4,
-                lease_timeout_s=10.0,
-            ),
-        )
-
-    serial = make("local")
-    serial.events("susan_c", LayoutPolicy.WAY_PLACEMENT, 32)  # warm the cache
-    want = serial.run_grid(cells, jobs=1)
-
-    sharded = make("sharded")
-    got, sharded_time = run_once(
-        benchmark,
-        lambda: _time(lambda: sharded.run_grid(cells, jobs=4), repeats=1),
-    )
-    assert got == want, "sharded sweep diverges from the serial run"
-    assert sharded.last_grid.shards == 4
-
-    chaos_runner = make("sharded")
-    config = ChaosConfig(
-        seed=13, rules=(ChaosRule("shard", "crash", match="@1", times=1),)
-    )
-    start = time.perf_counter()
-    with chaos.active(config):
-        under_chaos = chaos_runner.run_grid(cells, jobs=4)
-    chaos_time = time.perf_counter() - start
-    chaos_identical = 1.0 if under_chaos == want else 0.0
-    recovered = sum(1 for f in chaos_runner.last_failures if f.recovered)
-
-    emit(
-        f"[engine] 16-point sharded sweep: fault-free {sharded_time * 1000:.1f}ms, "
-        f"under chaos {chaos_time * 1000:.1f}ms "
-        f"({recovered} recovered incident(s), identical={chaos_identical:.0f})"
-    )
-    record_metric(
-        "grid.sharded_sweep",
-        {
-            "cells": len(cells),
-            "shards": sharded.last_grid.shards,
-            "sharded_wall_s": round(sharded_time, 4),
-            "chaos_wall_s": round(chaos_time, 4),
-            "chaos_identical": chaos_identical,
-            "recovered_incidents": recovered,
-            "duplicate_results": chaos_runner.last_grid.duplicate_results,
-        },
-    )
-    assert chaos_identical == 1.0, "chaos run diverged from the serial run"
-    assert recovered == len(chaos_runner.last_failures)
-    assert recovered >= 4, "every shard's first lease should have crashed"
-
-
-def test_bench_store_load_events(benchmark, tmp_path_factory, monkeypatch):
-    """Warm ``TraceStore.load_events``: v2 mmap entries vs v1 ``.npz``.
-
-    The v1 path decompresses the whole archive into fresh heap copies on
-    every load, so its cost scales with the trace; the v2 path maps raw
-    ``.npy`` members and hands back page-cache-backed views at a
-    near-constant few file opens.  Measured on the largest bundled
-    workload trace the benches build (susan_c walked for 2M
-    instructions): warm loads (page cache hot, best-of-N over a 10-load
-    inner loop) must clear 5x — the headline claim of the zero-copy
-    store format, guarded by the bench compare gate.
-    """
     from repro.engine.store import TraceStore
 
     workload = load_benchmark("susan_c")
     models = branch_models_for(workload, LARGE_INPUT)
     trace = CfgWalker(workload.program, models, seed=2).walk(5 * BUDGET)
     layout = original_layout(workload.program)
-    events = line_events_from_block_trace(trace, workload.program, layout, 32)
 
-    root = tmp_path_factory.mktemp("store-formats")
+    def derive():
+        return line_events_from_block_trace(trace, workload.program, layout, 32)
+
+    events, derive_time = _time(derive)
+    store = TraceStore(tmp_path_factory.mktemp("store-load"))
     key = "bench|events|susan_c"
+    assert store.save_events(key, events) is not None
 
-    monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-    v1 = TraceStore(root / "v1")
-    assert v1.save_events(key, events) is not None
-    monkeypatch.delenv("REPRO_STORE_FORMAT")
-    v2 = TraceStore(root / "v2")
-    assert v2.save_events(key, events) is not None
+    def load():
+        return store.load_events(key)
 
-    def load_v1():
-        return v1.load_events(key)
+    _, cold = _time(load, repeats=1)
 
-    def load_v2():
-        return v2.load_events(key)
+    def many():
+        for _ in range(9):
+            load()
+        return load()
 
-    _, v1_cold = _time(load_v1, repeats=1)
-    _, v2_cold = _time(load_v2, repeats=1)
-
-    def many(load):
-        def run():
-            for _ in range(9):
-                load()
-            return load()
-
-        return run
-
-    got_v1, v1_warm10 = _time(many(load_v1))
-    got_v2, v2_warm10 = run_once(benchmark, lambda: _time(many(load_v2)))
-    v1_warm, v2_warm = v1_warm10 / 10, v2_warm10 / 10
-    assert got_v1.line_size == got_v2.line_size == events.line_size
-    import numpy as np
-
+    loaded, warm10 = run_once(benchmark, lambda: _time(many))
+    warm = warm10 / 10
+    assert loaded.line_size == events.line_size
     for field in ("line_addrs", "counts", "slots"):
-        assert np.array_equal(getattr(got_v2, field), getattr(events, field))
-        assert np.array_equal(getattr(got_v1, field), getattr(events, field))
-    assert not got_v2.line_addrs.flags.writeable
+        assert np.array_equal(getattr(loaded, field), getattr(events, field))
+    assert not loaded.line_addrs.flags.writeable
 
-    speedup = v1_warm / v2_warm
+    speedup = derive_time / warm
     emit(
         f"[engine] store.load_events ({events.num_events:,} events): "
-        f"v1 npz {v1_warm * 1000:.2f}ms, v2 mmap {v2_warm * 1000:.2f}ms warm "
-        f"({speedup:.1f}x; cold {v1_cold * 1000:.2f}ms vs {v2_cold * 1000:.2f}ms)"
+        f"re-derive {derive_time * 1000:.1f}ms, warm load {warm * 1000:.2f}ms "
+        f"({speedup:.0f}x; cold load {cold * 1000:.2f}ms)"
     )
     record_metric(
         "store.load_events",
         {
             "events": events.num_events,
-            "v1_cold_ms": round(v1_cold * 1000, 3),
-            "v2_cold_ms": round(v2_cold * 1000, 3),
-            "v1_warm_ms": round(v1_warm * 1000, 3),
-            "v2_warm_ms": round(v2_warm * 1000, 3),
+            "derive_ms": round(derive_time * 1000, 3),
+            "cold_ms": round(cold * 1000, 3),
+            "warm_ms": round(warm * 1000, 3),
             "warm_speedup": round(speedup, 2),
         },
     )
-    assert speedup >= 5.0, (
-        f"v2 mmap load only {speedup:.2f}x faster than the v1 npz load"
+    assert speedup >= 50.0, (
+        f"warm store load only {speedup:.1f}x faster than re-deriving the events"
     )
 
 
-#: The multi-benchmark grid the plane benches run: 4 benchmarks x 4
+#: The multi-benchmark grid the cold/warm bench runs: 4 benchmarks x 4
 #: configurations = 16 cells, one worker chunk per benchmark at jobs=4.
-_PLANE_GRID_BENCHMARKS = ("crc", "sha", "fft", "bitcount")
-_PLANE_GRID_CELLS = [
+_GRID_CELLS = [
     cell
-    for name in _PLANE_GRID_BENCHMARKS
+    for name in ("crc", "sha", "fft", "bitcount")
     for cell in (
         GridCell(name, "baseline"),
         GridCell(name, "way-placement", wpa_size=4 * KB),
@@ -463,21 +371,20 @@ _PLANE_GRID_CELLS = [
 
 
 def test_bench_grid_cold_vs_warm(benchmark, tmp_path_factory):
-    """16-cell parallel grid wall: cold store vs warm store + trace plane.
+    """16-cell parallel grid wall: cold store vs warm store.
 
     Recorded, not guarded: the cold wall is dominated by CFG walking and
     the warm one by process spin-up, both of which vary across runner
     hardware.  The load-bearing asserts are bit-identity between the runs
-    and that the warm supervisor actually published and the workers
-    actually attached.
+    and that the warm run is faster.
     """
     from repro.experiments.runner import ExperimentRunner
 
-    cache = tmp_path_factory.mktemp("plane-cache")
+    cache = tmp_path_factory.mktemp("grid-cache")
 
     def grid():
         runner = ExperimentRunner(cache_dir=cache)
-        return runner, runner.run_grid(_PLANE_GRID_CELLS, jobs=4)
+        return runner, runner.run_grid(_GRID_CELLS, jobs=4)
 
     start = time.perf_counter()
     cold_runner, cold_reports = grid()
@@ -489,133 +396,24 @@ def test_bench_grid_cold_vs_warm(benchmark, tmp_path_factory):
     for a, b in zip(cold_reports, warm_reports):
         assert a.counters == b.counters, "warm grid diverged from cold grid"
     summary = warm_runner.last_grid
-    assert summary is not None and summary.plane_attached > 0
-    assert summary.plane_degraded == 0
+    assert summary is not None
 
     emit(
         f"[engine] 16-cell grid: cold {cold:.2f}s, warm {warm:.2f}s "
-        f"({cold / warm:.1f}x; {summary.plane_attached} plane attachments, "
-        f"peak worker footprint {summary.peak_worker_rss_kb}KB)"
+        f"({cold / warm:.1f}x; peak worker footprint "
+        f"{summary.peak_worker_rss_kb}KB)"
     )
     record_metric(
         "grid.cold_vs_warm",
         {
-            "cells": len(_PLANE_GRID_CELLS),
+            "cells": len(_GRID_CELLS),
             "jobs": 4,
             "cold_wall_s": round(cold, 4),
             "warm_wall_s": round(warm, 4),
-            "plane_attached": summary.plane_attached,
             "peak_worker_rss_kb": summary.peak_worker_rss_kb,
         },
     )
     assert warm < cold, "a warm grid should never be slower than a cold one"
-
-
-def test_bench_grid_arena_rss(benchmark, tmp_path_factory, monkeypatch):
-    """Per-worker memory: v1 store without the plane vs v2 store + arena.
-
-    The pre-PR data plane (compressed ``.npz`` entries, every worker
-    decompressing private copies) against the zero-copy plane (mmap-able
-    v2 entries published once into shared memory).  Budgets are pinned
-    explicitly so the guarded verdict does not depend on
-    ``$REPRO_EVAL_INSTRUCTIONS``.  The per-worker footprint is the grid
-    summary's ``peak_worker_rss_kb`` — worker memory growth over its
-    at-spawn baseline, measured as Pss so shared pages are billed
-    fractionally.  Forked workers also copy-on-write whatever parent heap
-    pages their refcount traffic touches, which is stochastic, so a
-    single-shot reading is noisy; the variants are interleaved and each
-    takes its best of three.  Guarded as a boolean: the arena run must
-    not use more memory per worker than the copying run.
-    """
-    import gc
-
-    from repro.engine.store import TraceStore
-    from repro.experiments.runner import ExperimentRunner
-
-    budgets = {"eval_instructions": 1_600_000, "profile_instructions": 320_000}
-    root = tmp_path_factory.mktemp("arena-rss")
-    cache_v1, cache_v2 = root / "v1-cache", root / "v2-cache"
-
-    def grid_run(cache):
-        gc.collect()
-        runner = ExperimentRunner(cache_dir=cache, **budgets)
-        reports, wall = _time(
-            lambda: runner.run_grid(_PLANE_GRID_CELLS, jobs=4), repeats=1
-        )
-        return reports, wall, runner.last_grid
-
-    def v1_world(on: bool) -> None:
-        if on:
-            monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-            monkeypatch.setenv("REPRO_PLANE", "off")
-        else:
-            monkeypatch.delenv("REPRO_STORE_FORMAT")
-            monkeypatch.delenv("REPRO_PLANE")
-
-    # Seed a v1-format cache (the pre-PR on-disk world), then bulk-migrate
-    # a copy to v2 entry directories for the arena runs — same artifacts,
-    # two data planes.
-    import shutil
-
-    v1_world(True)
-    want = ExperimentRunner(cache_dir=cache_v1, **budgets).run_grid(
-        _PLANE_GRID_CELLS, jobs=1
-    )
-    v1_world(False)
-    shutil.copytree(cache_v1, cache_v2)
-    outcome = TraceStore(cache_v2).migrate()
-    assert outcome["migrated"] > 0 and outcome["discarded"] == 0
-
-    base_runs, arena_runs = [], []
-    for repeat in range(3):
-        v1_world(True)
-        base_runs.append(grid_run(cache_v1))
-        v1_world(False)
-        if repeat == 2:  # the timed round, once the page cache is warm
-            arena_runs.append(run_once(benchmark, lambda: grid_run(cache_v2)))
-        else:
-            arena_runs.append(grid_run(cache_v2))
-
-    for reports, _, summary in base_runs:
-        assert summary.plane_attached == 0
-        for a, b in zip(want, reports):
-            assert a.counters == b.counters, "npz/serial variants diverged"
-    for reports, _, summary in arena_runs:
-        assert summary.plane_attached >= len(_PLANE_GRID_BENCHMARKS), (
-            f"only {summary.plane_attached} plane attachments in a warm grid"
-        )
-        for a, c in zip(want, reports):
-            assert a.counters == c.counters, "arena/serial variants diverged"
-    base_rss = min(summary.peak_worker_rss_kb for _, _, summary in base_runs)
-    arena_rss = min(summary.peak_worker_rss_kb for _, _, summary in arena_runs)
-    base_wall = min(wall for _, wall, _ in base_runs)
-    arena_wall = min(wall for _, wall, _ in arena_runs)
-    attached = arena_runs[-1][2].plane_attached
-    arena_no_worse = 1.0 if arena_rss <= base_rss else 0.0
-
-    emit(
-        f"[engine] 16-cell grid worker footprint: npz copies {base_rss}KB, "
-        f"shared arena {arena_rss}KB per worker "
-        f"({attached} attachments; walls {base_wall:.2f}s vs {arena_wall:.2f}s)"
-    )
-    record_metric(
-        "grid.arena_rss",
-        {
-            "cells": len(_PLANE_GRID_CELLS),
-            "jobs": 4,
-            "eval_instructions": budgets["eval_instructions"],
-            "npz_peak_worker_rss_kb": base_rss,
-            "arena_peak_worker_rss_kb": arena_rss,
-            "plane_attached": attached,
-            "npz_wall_s": round(base_wall, 4),
-            "arena_wall_s": round(arena_wall, 4),
-            "arena_no_worse": arena_no_worse,
-        },
-    )
-    assert arena_rss < base_rss, (
-        f"arena workers ({arena_rss}KB) should grow measurably less than "
-        f"npz-copying workers ({base_rss}KB)"
-    )
 
 
 def test_bench_warm_cache_startup(benchmark, tmp_path_factory):

@@ -8,9 +8,9 @@ Commands
     Print the paper's Table 1 machine configuration.
 ``figure4`` / ``figure5`` / ``figure6``
     Regenerate a figure (optionally on a benchmark subset).  Grid commands
-    accept supervision flags — ``--retries``, ``--timeout``, ``--resume``,
-    ``--fallback-policy``, ``--backend``, ``--shards``,
-    ``--lease-timeout`` — described in docs/robustness.md.
+    run on a local worker pool (``--jobs``) and accept supervision flags —
+    ``--retries``, ``--timeout``, ``--resume``, ``--fallback-policy`` —
+    described in docs/robustness.md.
 ``simulate``
     Run one (benchmark, scheme, geometry, WPA) combination and print the
     normalised result plus the activity counters behind it.
@@ -20,7 +20,8 @@ Commands
 ``choose-wpa``
     Run the OS's way-placement-area selection policy.
 ``cache``
-    Inspect or clear the persistent trace cache (see docs/performance.md).
+    Inspect (``stats``) or empty (``clear``) the persistent trace cache
+    (see docs/performance.md).
 ``lint``
     Static diagnostics over programs, layouts, and experiment configs
     (see docs/analysis.md).  Targets are benchmark names or JSON config
@@ -42,11 +43,10 @@ Commands
     fail when a guarded engine speedup drops more than the tolerance.
 ``chaos``
     Seeded chaos drill (see docs/robustness.md): inject a deterministic
-    fault schedule — per backend: worker/shard crashes and hangs, lease
-    heartbeat loss, duplicate grants, transport failure, disk faults —
-    into a supervised grid across a seed matrix, and fail unless every
-    run is bit-identical to a fault-free run with all incidents
-    recovered.  ``--json`` emits the summary for machines.
+    fault schedule — worker crashes and hangs, sanitizer trips, cell and
+    disk faults — into a supervised parallel grid across a seed matrix,
+    and fail unless every run is bit-identical to a fault-free run with
+    all incidents recovered.  ``--json`` emits the summary for machines.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
 from repro.layout.wpa_select import choose_wpa_size
 from repro.resilience.policy import (
-    BACKEND_CHOICES,
     DEFAULT_RESILIENCE,
     FallbackPolicy,
     ResilienceConfig,
@@ -169,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache", help="manage the persistent trace cache ($REPRO_CACHE_DIR)"
     )
-    cache.add_argument("action", choices=["stats", "clear", "migrate"])
+    cache.add_argument("action", choices=["stats", "clear"])
     cache.add_argument(
         "--dir",
         default=None,
@@ -323,15 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated seed matrix (default: 0)",
     )
     chaos_drill.add_argument(
-        "--backend",
-        default="local",
-        choices=sorted(BACKEND_CHOICES) + ["both"],
-        help=(
-            "execution backend(s) to drill: the local pool, the sharded "
-            "lease/heartbeat/steal backend, or both (default local)"
-        ),
-    )
-    chaos_drill.add_argument(
         "--jobs", type=int, default=2, help="worker processes (default 2)"
     )
     chaos_drill.add_argument(
@@ -443,38 +433,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             "back to unpruned execution"
         ),
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=sorted(BACKEND_CHOICES),
-        help=(
-            "execution backend for parallel grids: 'local' chunks by "
-            "benchmark across a worker pool, 'sharded' shards by the "
-            "planner key with lease/heartbeat/work-stealing fault "
-            "tolerance (default local; see docs/robustness.md)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "target shard count for --backend sharded (default: one shard "
-            "per planner family key; shards never mix keys)"
-        ),
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "seconds a shard lease survives without a heartbeat before "
-            "the coordinator reassigns the shard (default "
-            f"{DEFAULT_RESILIENCE.lease_timeout_s})"
-        ),
-    )
 
 
 def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
@@ -483,18 +441,7 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
     timeout = getattr(args, "timeout", None)
     resume = getattr(args, "resume", False)
     fallback = getattr(args, "fallback_policy", None)
-    backend = getattr(args, "backend", None)
-    shards = getattr(args, "shards", None)
-    lease_timeout = getattr(args, "lease_timeout", None)
-    if (
-        retries is None
-        and timeout is None
-        and not resume
-        and fallback is None
-        and backend is None
-        and shards is None
-        and lease_timeout is None
-    ):
+    if retries is None and timeout is None and not resume and fallback is None:
         return None
     config = DEFAULT_RESILIENCE
     if retries is not None:
@@ -505,12 +452,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         config = dataclasses.replace(config, resume=True)
     if fallback is not None:
         config = config.with_fallback(fallback)
-    if backend is not None:
-        config = dataclasses.replace(config, backend=backend)
-    if shards is not None:
-        config = dataclasses.replace(config, shards=shards)
-    if lease_timeout is not None:
-        config = dataclasses.replace(config, lease_timeout_s=lease_timeout)
     return config.validate()
 
 
@@ -1040,11 +981,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
     else:
         seeds = [args.seed if args.seed is not None else 0]
-    backends = ["local", "sharded"] if args.backend == "both" else [args.backend]
 
-    summary = run_matrix(seeds, backends=backends, jobs=args.jobs)
+    summary = run_matrix(seeds, jobs=args.jobs)
     for run in summary["runs"]:
-        print(f"chaos drill seed={run['seed']} backend={run['backend']}:")
+        print(f"chaos drill seed={run['seed']}:")
         for line in run["schedule"]:
             print(f"  {line}")
         for incident in run["incidents"]:
@@ -1053,8 +993,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(
             f"  {verdict}: identical={run['identical']} "
             f"recovered={run['recovered']} "
-            f"({len(run['incidents'])} incident(s), "
-            f"{run['duplicate_results']} duplicate result(s) dropped)"
+            f"({len(run['incidents'])} incident(s))"
         )
 
     if args.json_path is not None:
@@ -1088,17 +1027,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         counts = cast(Dict[str, int], stats["entries"])
         kind_bytes = cast(Dict[str, int], stats["kind_bytes"])
         total_bytes = cast(int, stats["total_bytes"])
-        format_entries = cast(Dict[str, int], stats["format_entries"])
         quarantined = cast(int, stats["quarantined"])
         print(f"cache directory : {stats['dir']}")
         print(f"entries         : {sum(counts.values())}")
         print(f"size            : {total_bytes / KB:.1f}KB")
         for kind, count in sorted(counts.items()):
             print(f"  {kind:<8}: {count} entries, {kind_bytes[kind] / KB:.1f}KB")
-        print(
-            f"trace formats   : "
-            f"{format_entries['v2']} v2 (mmap), {format_entries['v1']} v1 (npz)"
-        )
         if quarantined:
             quarantine_bytes = cast(int, stats["quarantine_bytes"])
             print(
@@ -1110,14 +1044,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"session misses  : {stats['session_misses']}")
         if stats["writes_disabled"]:
             print("writes          : DISABLED (earlier write failure)")
-    elif args.action == "migrate":
-        outcome = store.migrate()
-        print(
-            f"migrated {outcome['migrated']} legacy entries to format "
-            f"v{store.FORMAT_VERSION} in {store.root} "
-            f"({outcome['skipped']} already current or kept, "
-            f"{outcome['discarded']} corrupt discarded)"
-        )
     else:
         removed = store.clear()
         print(f"removed {removed} entries from {store.root}")

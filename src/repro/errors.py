@@ -25,7 +25,6 @@ __all__ = [
     "ResilienceError",
     "CellFailure",
     "RetriesExhausted",
-    "TransportError",
 ]
 
 
@@ -103,17 +102,6 @@ class SanitizerError(ReproError):
 
 class ResilienceError(ReproError):
     """Supervised execution was configured or driven incorrectly."""
-
-
-class TransportError(ResilienceError):
-    """The sharded backend's result-queue transport failed.
-
-    Raised by :mod:`repro.resilience.sharded` when the coordinator can no
-    longer exchange messages with its shard workers (a broken queue, an
-    injected ``transport`` chaos fault).  The backend catches it and
-    degrades the whole grid to the local backend, so a transport outage
-    never poisons a sweep.
-    """
 
 
 class RetriesExhausted(ResilienceError):

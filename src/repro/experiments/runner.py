@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from repro.analysis.absint.prune import PruneCertificate
@@ -131,14 +131,6 @@ class ExperimentRunner:
         #: Structured outcome of the most recent :meth:`run_grid` call.
         self.last_failures: List[FailureReport] = []
         self.last_grid: Optional[GridSummary] = None
-        #: Worker side of the shared-memory trace plane: a
-        #: :class:`repro.engine.plane.PlaneClient` installed by the grid
-        #: worker entry points, consulted before the persistent store.
-        self.plane: Optional[Any] = None
-        #: Supervisor side: attachment handles published for the current
-        #: parallel grid (set around ``backend.run`` by the supervisor and
-        #: forwarded to workers; never part of :meth:`spawn_spec`).
-        self.plane_handles: Optional[Dict[str, Any]] = None
 
         self._workloads: Dict[str, Workload] = {}
         self._profiles: Dict[str, ProfileData] = {}
@@ -227,9 +219,7 @@ class ExperimentRunner:
         """The large-input evaluation trace (layout independent)."""
         if benchmark not in self._block_traces:
             key = self._block_trace_key(benchmark)
-            trace = self.plane.block_trace(key) if self.plane else None
-            if trace is None and self.store:
-                trace = self.store.load_block_trace(key)
+            trace = self.store.load_block_trace(key) if self.store else None
             if trace is None:
                 workload = self.workload(benchmark)
                 models = branch_models_for(workload, LARGE_INPUT)
@@ -246,9 +236,7 @@ class ExperimentRunner:
         key = (benchmark, policy, line_size)
         if key not in self._events:
             store_key = self._events_key(benchmark, policy, line_size)
-            events = self.plane.events(store_key) if self.plane else None
-            if events is None and self.store:
-                events = self.store.load_events(store_key)
+            events = self.store.load_events(store_key) if self.store else None
             if events is None:
                 workload = self.workload(benchmark)
                 events = line_events_from_block_trace(
@@ -655,52 +643,6 @@ class ExperimentRunner:
             "sanitize": self.sanitize,
             "prune": self.prune,
         }
-
-    def publish_plane(self, arena: Any, cells: Sequence[GridCell]) -> int:
-        """Publish these cells' *warm* trace arrays into a shared arena.
-
-        Best effort, warm-only: an artifact is published only when it is
-        already resident in this process or loadable from the persistent
-        store — a cold benchmark is left to the workers, which derive and
-        persist it exactly as before, so publication never serialises cold
-        derivation in the supervisor.  Returns the number of segments
-        published; any per-artifact failure simply skips that artifact.
-        """
-        published = 0
-        combos: Dict[str, List[Tuple[LayoutPolicy, int]]] = {}
-        for cell in cells:
-            try:
-                policy = self._resolve_layout_policy(cell.scheme, cell.layout_policy)
-            except Exception:
-                continue
-            pairs = combos.setdefault(cell.benchmark, [])
-            pair = (policy, cell.machine.icache.line_size)
-            if pair not in pairs:
-                pairs.append(pair)
-        for benchmark, pairs in combos.items():
-            try:
-                key = self._block_trace_key(benchmark)
-                trace = self._block_traces.get(benchmark)
-                if trace is None and self.store is not None:
-                    trace = self.store.load_block_trace(key)
-                    if trace is not None:
-                        self._block_traces[benchmark] = trace
-                if trace is None:
-                    continue  # cold benchmark: workers derive as usual
-                published += arena.publish_block_trace(key, trace)
-                for policy, line_size in pairs:
-                    memo = (benchmark, policy, line_size)
-                    events_key = self._events_key(benchmark, policy, line_size)
-                    events = self._events.get(memo)
-                    if events is None and self.store is not None:
-                        events = self.store.load_events(events_key)
-                        if events is not None:
-                            self._events[memo] = events
-                    if events is not None:
-                        published += arena.publish_events(events_key, events)
-            except Exception:
-                continue
-        return published
 
     def run_grid(
         self,

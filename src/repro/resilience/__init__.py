@@ -1,53 +1,37 @@
 """Resilient experiment execution.
 
 Supervised grids with retry/backoff, checkpoint–resume, engine fallback,
-pluggable execution backends, and a deterministic fault-injection (chaos)
-harness.  See :mod:`repro.resilience.supervisor` for the recovery ladder,
-:mod:`repro.resilience.policy` for configuration and failure records,
-:mod:`repro.resilience.backends` / :mod:`repro.resilience.sharded` for
-the execution backends (local pool; fault-tolerant sharding with leases,
-heartbeats, and work-stealing), :mod:`repro.resilience.journal` for
-checkpoint–resume, and :mod:`repro.resilience.chaos` for fault injection.
+and a deterministic fault-injection (chaos) harness.  See
+:mod:`repro.resilience.supervisor` for the recovery ladder and the local
+worker pool, :mod:`repro.resilience.policy` for configuration and failure
+records, :mod:`repro.resilience.journal` for checkpoint–resume, and
+:mod:`repro.resilience.chaos` for fault injection.
 """
 
 from repro.resilience import chaos
-from repro.resilience.backends import (
-    ExecutionBackend,
-    LocalBackend,
-    resolve_backend,
-)
 from repro.resilience.chaos import ChaosConfig, ChaosRule, InjectedFault
 from repro.resilience.journal import ResumeJournal, cell_content_key, grid_digest
 from repro.resilience.policy import (
-    BACKEND_CHOICES,
     DEFAULT_RESILIENCE,
     FailureReport,
     FallbackPolicy,
     ResilienceConfig,
 )
-from repro.resilience.sharded import Shard, ShardedBackend, plan_shards
 from repro.resilience.supervisor import GridSummary, run_cell, supervise_grid
 
 __all__ = [
-    "BACKEND_CHOICES",
     "ChaosConfig",
     "ChaosRule",
     "DEFAULT_RESILIENCE",
-    "ExecutionBackend",
     "FailureReport",
     "FallbackPolicy",
     "GridSummary",
     "InjectedFault",
-    "LocalBackend",
     "ResilienceConfig",
     "ResumeJournal",
-    "Shard",
-    "ShardedBackend",
     "cell_content_key",
     "chaos",
     "grid_digest",
-    "plan_shards",
-    "resolve_backend",
     "run_cell",
     "supervise_grid",
 ]

@@ -22,21 +22,6 @@ site           where it fires
 ``prune``        applying a static sweep-pruning certificate in
                  ``ExperimentRunner.report_family_pruned`` (the topmost
                  ladder rung; recovery is unpruned family execution)
-``shard``        a sharded-backend shard worker's entry point (key
-                 ``shard_id@attempt``; see :mod:`repro.resilience.sharded`)
-``lease``        a shard worker's heartbeat loop (fault ``heartbeat-loss``
-                 silences the worker so its lease expires and the shard is
-                 reassigned)
-``steal``        granting a shard lease (fault ``duplicate`` forces an
-                 immediate speculative duplicate of the shard, exercising
-                 duplicate-delivery idempotence)
-``transport``    the sharded backend's result-queue protocol (coordinator
-                 receive and worker send; an injected fault degrades the
-                 whole backend to :class:`LocalBackend`)
-``plane.attach`` a grid worker attaching a shared-memory trace segment in
-                 :class:`~repro.engine.plane.PlaneClient` (key
-                 ``kind:store-key``; recovery is the per-worker store/
-                 derive path, bit-identical)
 =============  ==========================================================
 
 Faults model the real failure surface: ``crash`` (the process dies with
@@ -44,11 +29,7 @@ Faults model the real failure surface: ``crash`` (the process dies with
 ``raise`` (an :class:`InjectedFault`), ``enospc``/``eacces`` (environment
 ``OSError``\\ s), ``sanitizer`` (a mid-grid
 :class:`~repro.errors.SanitizerError`), and ``truncate`` (a torn write:
-the entry file is cut short before being published).  Two faults are
-*advisory* rather than raising — ``heartbeat-loss`` (a worker keeps
-computing but stops announcing itself) and ``duplicate`` (the coordinator
-double-assigns a shard) — consumed by the sharded backend via
-:func:`should_fire` instead of :func:`chaos_point`.
+the entry file is cut short before being published).
 
 Determinism: a rule fires at most ``times`` times per process, and a
 ``probability < 1`` draw is seeded by ``(seed, rule, site, key, count)``
@@ -82,7 +63,6 @@ __all__ = [
     "corrupt_file",
     "current",
     "install",
-    "should_fire",
     "uninstall",
 ]
 
@@ -97,11 +77,6 @@ _SITES = frozenset(
         "family",
         "differential",
         "prune",
-        "shard",
-        "lease",
-        "steal",
-        "transport",
-        "plane.attach",
     }
 )
 _FAULTS = frozenset(
@@ -113,8 +88,6 @@ _FAULTS = frozenset(
         "eacces",
         "sanitizer",
         "truncate",
-        "heartbeat-loss",
-        "duplicate",
     }
 )
 
@@ -196,11 +169,11 @@ class _ChaosState:
         digest = hashlib.sha256(token.encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big")).random()
 
-    def matching(self, site: str, key: str, fault_filter: Optional[frozenset]) -> Iterator[ChaosRule]:
+    def matching(self, site: str, key: str, faults: frozenset) -> Iterator[ChaosRule]:
         for index, rule in enumerate(self.config.rules):
             if rule.site != site or rule.match not in key:
                 continue
-            if fault_filter is not None and rule.fault not in fault_filter:
+            if rule.fault not in faults:
                 continue
             if rule.times == 0 or 0 <= rule.times <= self.fired[index]:
                 continue
@@ -268,21 +241,6 @@ def chaos_point(site: str, key: str) -> None:
             raise OSError(errno.EACCES, f"chaos: permission denied ({key})")
         if rule.fault == "sanitizer":
             raise SanitizerError(f"chaos: injected invariant violation ({key})")
-
-
-def should_fire(site: str, key: str, fault: str) -> bool:
-    """Consume one matching *advisory* rule at ``site``, without raising.
-
-    The sharded backend's behavioural faults — ``heartbeat-loss`` and
-    ``duplicate`` — do not map to an exception at the site that consults
-    them; the caller changes its behaviour instead (stop heartbeating,
-    double-assign the shard).  Counting and probability draws follow the
-    same deterministic rules as :func:`chaos_point`.
-    """
-    state = _ACTIVE
-    if state is None:
-        return False
-    return any(True for _ in state.matching(site, key, frozenset({fault})))
 
 
 def corrupt_file(site: str, key: str, path: "os.PathLike[str]") -> None:

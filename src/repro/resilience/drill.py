@@ -4,20 +4,15 @@ A *drill* derives a deterministic fault schedule from a seed, runs a
 supervised parallel grid under it, and checks the acceptance bar of
 docs/robustness.md: results bit-identical to a fault-free serial run,
 with every injected incident recovered.  The schedule covers every
-recovery rung of the chosen execution backend at once — worker crashes
-and hangs for the local pool; shard crashes, silenced heartbeats (lease
-expiry), forced duplicate grants, and transport failure for the sharded
-backend — plus the backend-independent faults (kernel sanitizer trips,
-probabilistic cell faults, a full disk mid-cache-write).
+recovery rung of the local worker pool at once: worker crashes and hangs,
+kernel sanitizer trips, probabilistic cell faults, and a full disk and a
+torn write mid-cache-write.
 
-:func:`run_drill` runs one ``(seed, backend)`` drill and returns a
-summary dict; :func:`run_matrix` sweeps a seed matrix across backends and
-aggregates.  Given the same seeds, the schedules and the verdict fields
-(``identical``, ``recovered``, ``ok``) are deterministic; incident lists
-are included for humans and may vary in order with scheduling.
-
-``scripts/chaos_check.py`` is a thin shim over the same entry point, kept
-for CI compatibility.
+:func:`run_drill` runs one seeded drill and returns a summary dict;
+:func:`run_matrix` sweeps a seed matrix and aggregates.  Given the same
+seeds, the schedules and the verdict fields (``identical``,
+``recovered``, ``ok``) are deterministic; incident lists are included for
+humans and may vary in order with scheduling.
 """
 
 from __future__ import annotations
@@ -40,9 +35,6 @@ KB = 1024
 #: Trace budgets small enough for CI, large enough to exercise real replay.
 _EVAL_INSTRUCTIONS = 8_000
 _PROFILE_INSTRUCTIONS = 4_000
-#: Shard leases expire fast so injected heartbeat loss recovers in well
-#: under a second of wall clock.
-_LEASE_TIMEOUT_S = 0.5
 
 
 def drill_cells() -> List[GridCell]:
@@ -64,52 +56,22 @@ def _make_runner(cache_dir: str, **kwargs: Any) -> ExperimentRunner:
     )
 
 
-def build_rules(seed: int, backend: str = "local") -> Tuple[ChaosRule, ...]:
-    """A seed-derived schedule covering every recovery rung at once.
-
-    The backend-independent tail (sanitizer trip, probabilistic cell
-    faults, disk faults mid-cache-write) is shared; the head injects the
-    faults specific to how the chosen backend distributes work.
-    """
-    rng = random.Random(seed)
-    crash_bench = rng.choice(["crc", "sha"])
+def build_rules(seed: int) -> Tuple[ChaosRule, ...]:
+    """A seed-derived schedule covering every recovery rung at once."""
+    crash_bench = random.Random(seed).choice(["crc", "sha"])
     hang_bench = "sha" if crash_bench == "crc" else "crc"
-    shared = (
+    return (
+        ChaosRule("worker", "crash", match=f"{crash_bench}@1", times=1),
+        ChaosRule("worker", "hang", match=f"{hang_bench}@1", times=1, delay_s=60.0),
         ChaosRule("kernel", "sanitizer", match="way-placement", times=1),
         ChaosRule("cell", "raise", times=-1, probability=0.2),
         ChaosRule("store.save", "enospc", times=1),
         ChaosRule("store.save", "truncate", match="events:", times=1),
-        # A shared-memory attach fails: the worker must degrade to its own
-        # store/derive path with bit-identical results.
-        ChaosRule("plane.attach", "raise", times=1),
     )
-    if backend != "sharded":
-        return (
-            ChaosRule("worker", "crash", match=f"{crash_bench}@1", times=1),
-            ChaosRule(
-                "worker", "hang", match=f"{hang_bench}@1", times=1, delay_s=60.0
-            ),
-        ) + shared
-    head = [
-        # Every shard's first lease dies; reassignment recovers each.
-        ChaosRule("shard", "crash", match="@1", times=1),
-        # One benchmark's shards go mute while still computing: lease
-        # expiry reassigns them, the mute workers later duplicate-deliver.
-        ChaosRule("lease", "heartbeat-loss", match=hang_bench, times=1),
-        ChaosRule("shard", "hang", match=hang_bench, times=1, delay_s=1.5),
-        # A forced duplicate grant: first delivery wins, the copy dedups.
-        ChaosRule("steal", "duplicate", match=crash_bench, times=1),
-    ]
-    if rng.random() < 0.5:
-        # Some seeds tear the transport itself mid-run: the whole backend
-        # must degrade to the local pool and still finish bit-identically.
-        head.append(ChaosRule("transport", "raise", match="recv", times=1))
-    return tuple(head) + shared
 
 
 def run_drill(
     seed: int,
-    backend: str = "local",
     jobs: int = 2,
     reference: Optional[List[Any]] = None,
 ) -> Dict[str, Any]:
@@ -121,23 +83,16 @@ def run_drill(
     want = reference
     if want is None:
         want = _make_runner("off").run_grid(drill_cells(), jobs=1)
-    config = ChaosConfig(seed=seed, rules=build_rules(seed, backend))
+    config = ChaosConfig(seed=seed, rules=build_rules(seed))
     with tempfile.TemporaryDirectory() as scratch:
         runner = _make_runner(
             str(Path(scratch) / "cache"),
-            resilience=ResilienceConfig(
-                retries=3,
-                backoff_s=0.01,
-                timeout_s=10.0,
-                backend=backend,
-                lease_timeout_s=_LEASE_TIMEOUT_S,
-            ),
+            resilience=ResilienceConfig(retries=3, backoff_s=0.01, timeout_s=10.0),
         )
         # Warm exactly one benchmark's traces before the faults go live:
-        # the supervisor publishes warm artifacts into the shared-memory
-        # plane, giving the plane.attach rule a real attachment to hit,
-        # while the other benchmark stays cold and keeps exercising the
-        # per-worker derive-and-persist path under the store.save faults.
+        # its workers load from the store, while the other benchmark stays
+        # cold and keeps exercising the per-worker derive-and-persist path
+        # under the store.save faults.
         for cell in drill_cells():
             if cell.benchmark != "crc":
                 continue
@@ -146,12 +101,10 @@ def run_drill(
         with chaos.active(config):
             got = runner.run_grid(drill_cells(), jobs=jobs)
     failures = list(runner.last_failures)
-    grid = runner.last_grid
     identical = got == want
     recovered = all(failure.recovered for failure in failures)
     return {
         "seed": seed,
-        "backend": backend,
         "jobs": jobs,
         "schedule": describe_rules(list(config.rules)).splitlines(),
         "identical": identical,
@@ -159,26 +112,15 @@ def run_drill(
         "ok": identical and recovered,
         "incidents": [failure.describe() for failure in failures],
         "sites": sorted({failure.site for failure in failures}),
-        "shards": 0 if grid is None else grid.shards,
-        "duplicate_results": 0 if grid is None else grid.duplicate_results,
     }
 
 
-def run_matrix(
-    seeds: Sequence[int],
-    backends: Sequence[str] = ("local",),
-    jobs: int = 2,
-) -> Dict[str, Any]:
-    """Drill every ``(seed, backend)`` pair; aggregate into one summary."""
+def run_matrix(seeds: Sequence[int], jobs: int = 2) -> Dict[str, Any]:
+    """Drill every seed; aggregate into one summary."""
     reference = _make_runner("off").run_grid(drill_cells(), jobs=1)
-    runs = [
-        run_drill(seed, backend=backend, jobs=jobs, reference=reference)
-        for backend in backends
-        for seed in seeds
-    ]
+    runs = [run_drill(seed, jobs=jobs, reference=reference) for seed in seeds]
     return {
         "seeds": list(seeds),
-        "backends": list(backends),
         "runs": runs,
         "ok": all(run["ok"] for run in runs),
     }

@@ -5,17 +5,16 @@ simulations.  The supervisor checkpoints every completed cell's full
 :class:`~repro.sim.report.SimulationReport` into a *grid journal*: one
 JSONL file, content-keyed by a digest of the runner spec and the cell
 list.  The first line is a header naming the format version and grid key;
-every following line is one self-contained record — a completed cell's
-report, or a shard lease granted by the sharded execution backend
-(:mod:`repro.resilience.sharded`).  Flushing *appends* only the records
-written since the last flush, so checkpoint cost is proportional to
-progress, not to grid size.
+every following line is one self-contained record of a completed cell's
+report.  Flushing *appends* only the records written since the last
+flush, so checkpoint cost is proportional to progress, not to grid size.
 
-Records are replay-safe: a cell recorded twice (a resumed run, a
-duplicate delivery after a shard steal) carries the identical report both
-times, and :meth:`ResumeJournal.load` keeps the last occurrence.  A crash
-mid-append can tear at most the trailing line; the loader skips corrupt
-records with a one-time warning and the affected cells simply re-execute.
+Records are replay-safe: a cell recorded twice (a resumed run) carries the
+identical report both times, and :meth:`ResumeJournal.load` keeps the last
+occurrence.  A crash mid-append can tear at most the trailing line; the
+loader skips corrupt records with a one-time warning and the affected
+cells simply re-execute.  Records it does not recognise — including the
+shard-lease lines older journals carry — are skipped the same way.
 
 Reports serialize losslessly: every field is an ``int``, ``str``, or IEEE
 double (JSON round-trips doubles exactly), so a resumed cell's report is
@@ -145,14 +144,12 @@ def report_from_dict(payload: Mapping[str, Any]) -> SimulationReport:
 # The journal file
 # ---------------------------------------------------------------------------
 class ResumeJournal:
-    """Append-only on-disk record of a grid's completed cells and leases."""
+    """Append-only on-disk record of a grid's completed cells."""
 
     def __init__(self, path: Union[str, Path], grid_key: str):
         self.path = Path(path)
         self.grid_key = grid_key
         self.completed: Dict[str, Dict[str, Any]] = {}
-        #: Shard leases recorded by the sharded backend, in grant order.
-        self.leases: List[Dict[str, Any]] = []
         self._pending: List[str] = []
         self._disabled = False
 
@@ -191,7 +188,6 @@ class ResumeJournal:
         ):
             return {}
         completed: Dict[str, Dict[str, Any]] = {}
-        leases: List[Dict[str, Any]] = []
         skipped = 0
         for line in lines[1:]:
             if not line.strip():
@@ -210,8 +206,6 @@ class ResumeJournal:
                 # Replay-safe: duplicate records carry identical reports,
                 # so the last occurrence simply wins.
                 completed[record["cell"]] = record["report"]
-            elif isinstance(record.get("lease"), dict):
-                leases.append(record["lease"])
             else:
                 skipped += 1
         if skipped:
@@ -223,13 +217,7 @@ class ResumeJournal:
                 stacklevel=2,
             )
         self.completed = completed
-        self.leases = leases
         return self.completed
-
-    def load_leases(self) -> List[Dict[str, Any]]:
-        """Shard leases of a previous run, oldest first (see :meth:`load`)."""
-        self.load()
-        return self.leases
 
     # -- writing ------------------------------------------------------------
     def record(self, cell_key: str, report: SimulationReport) -> None:
@@ -239,28 +227,6 @@ class ResumeJournal:
         self._pending.append(
             json.dumps({"cell": cell_key, "report": payload}, sort_keys=True)
         )
-
-    def record_lease(
-        self,
-        shard_id: str,
-        worker: int,
-        attempt: int,
-        cell_keys: Sequence[str],
-    ) -> None:
-        """Checkpoint one shard-lease grant (buffered until :meth:`flush`).
-
-        Lease records are an audit trail of which shards were in flight
-        when a run died: resume re-executes exactly the cells missing from
-        the cell records, i.e. only the unfinished shards' work.
-        """
-        lease = {
-            "shard": shard_id,
-            "worker": worker,
-            "attempt": attempt,
-            "cells": list(cell_keys),
-        }
-        self.leases.append(lease)
-        self._pending.append(json.dumps({"lease": lease}, sort_keys=True))
 
     def flush(self) -> None:
         """Append the records buffered since the last flush to disk.

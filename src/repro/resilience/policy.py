@@ -33,7 +33,6 @@ from repro.errors import (
 )
 
 __all__ = [
-    "BACKEND_CHOICES",
     "DEFAULT_RESILIENCE",
     "FailureReport",
     "FallbackPolicy",
@@ -65,12 +64,6 @@ _NON_RETRYABLE = (
     SchemeError,
     WorkloadError,
 )
-
-
-#: Execution backends a :class:`ResilienceConfig` may name (the registry
-#: itself lives in :mod:`repro.resilience.backends`; this set exists so
-#: config validation does not import the backend machinery).
-BACKEND_CHOICES = frozenset({"local", "sharded"})
 
 
 def is_retryable(error: BaseException) -> bool:
@@ -119,17 +112,6 @@ class ResilienceConfig:
     fallback: FallbackPolicy = FallbackPolicy.REFERENCE
     resume: bool = False
     seed: int = 0
-    #: Which execution backend fans a parallel grid out (see
-    #: :mod:`repro.resilience.backends`): ``"local"`` is the benchmark-
-    #: chunked worker pool, ``"sharded"`` the lease/heartbeat/work-stealing
-    #: backend of :mod:`repro.resilience.sharded`.
-    backend: str = "local"
-    #: Target shard count for the sharded backend (``None``: one shard per
-    #: planner family key).  A hint — shards never mix family keys.
-    shards: Optional[int] = None
-    #: Seconds a shard lease stays valid without a heartbeat before the
-    #: coordinator revokes it and reassigns the shard.
-    lease_timeout_s: float = 5.0
 
     def validate(self) -> "ResilienceConfig":
         """Raise :class:`~repro.errors.ResilienceError` on invalid settings."""
@@ -143,17 +125,6 @@ class ResilienceConfig:
             raise ResilienceError(f"timeout_s must be >= 0, got {self.timeout_s}")
         if not isinstance(self.fallback, FallbackPolicy):
             raise ResilienceError(f"unknown fallback policy {self.fallback!r}")
-        if self.backend not in BACKEND_CHOICES:
-            raise ResilienceError(
-                f"unknown execution backend {self.backend!r}; choose from "
-                f"{sorted(BACKEND_CHOICES)}"
-            )
-        if self.shards is not None and self.shards < 1:
-            raise ResilienceError(f"shards must be >= 1, got {self.shards}")
-        if self.lease_timeout_s <= 0:
-            raise ResilienceError(
-                f"lease_timeout_s must be > 0, got {self.lease_timeout_s}"
-            )
         return self
 
     def backoff_delay(self, attempt: int, token: str) -> float:
@@ -196,15 +167,13 @@ class FailureReport:
     """One supervised incident: what failed, how often, and the recovery.
 
     ``site`` is where the incident happened (``"cell"`` for one simulation,
-    ``"worker"`` for a whole benchmark chunk's process, ``"shard"`` /
-    ``"lease"`` / ``"steal"`` / ``"transport"`` for the sharded backend's
-    mechanisms).  ``causes`` holds the exception cause chains of every
-    failed attempt, oldest first.  ``recovery`` names the ladder rung that
-    finally succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``,
-    ``in-process``, the family-tier rungs (``unpruned``, ``batch``,
-    ``per-cell``), or the sharded backend's ``reassigned``,
-    ``work-steal``, ``duplicate-delivery``, and ``local-backend`` — or
-    ``none`` when the incident was not recovered.
+    ``"worker"`` for a whole benchmark chunk's process, ``"prune"`` /
+    ``"differential"`` / ``"family"`` for the family-tier rungs).
+    ``causes`` holds the exception cause chains of every failed attempt,
+    oldest first.  ``recovery`` names the ladder rung that finally
+    succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``,
+    ``in-process``, or the family-tier rungs (``unpruned``, ``batch``,
+    ``per-cell``) — or ``none`` when the incident was not recovered.
     """
 
     site: str

@@ -23,13 +23,10 @@ Every incident is recorded as a
 :class:`~repro.resilience.policy.FailureReport`; unrecovered failures raise
 :class:`~repro.errors.CellFailure` with those reports attached.
 
-*Where* the parallel portion runs is delegated to an execution backend
-(:mod:`repro.resilience.backends`): the local benchmark-chunked worker
-pool implemented by :func:`_run_parallel` here, or the lease/heartbeat/
-work-stealing sharded backend of :mod:`repro.resilience.sharded`.  Both
-stream completed cells through the same adoption path and return their
-unfinished chunks to the in-process rung, so the recovery ladder is
-backend-independent.
+The parallel portion runs on one local pool (:func:`_run_parallel`): one
+forked worker per benchmark chunk, each loading its traces from the
+persistent store itself (mmap'd, so workers replaying the same entry share
+its pages).
 """
 
 from __future__ import annotations
@@ -98,21 +95,14 @@ class GridSummary:
     family_cells: int = 0
     pruned: int = 0
     prune_certificates: Tuple[str, ...] = ()
-    #: Which execution backend ran the parallel portion (see
-    #: :mod:`repro.resilience.backends`), the shards it planned, and how
-    #: many duplicate deliveries its first-wins dedup dropped.
-    backend: str = "local"
-    shards: int = 0
-    duplicate_results: int = 0
-    #: Shared-memory trace plane (see :mod:`repro.engine.plane`): arena
-    #: attachments made by workers, attachments that degraded to the
-    #: per-worker load path, and the largest memory growth of any worker
-    #: process over its at-spawn baseline (KB; proportional set size on
-    #: Linux, so shared trace pages are billed fractionally) — the
-    #: per-worker data-plane footprint.
+    #: The largest memory growth of any worker process over its at-spawn
+    #: baseline (KB; proportional set size on Linux, so shared trace pages
+    #: are billed fractionally).
+    peak_worker_rss_kb: int = 0
+    #: Always 0: nothing attaches shared-memory traces any more.  Kept
+    #: because ``benchmarks/e2e/tracing.py`` reads them.
     plane_attached: int = 0
     plane_degraded: int = 0
-    peak_worker_rss_kb: int = 0
 
 
 def _new_stats() -> Dict[str, Any]:
@@ -122,10 +112,6 @@ def _new_stats() -> Dict[str, Any]:
         "family_cells": 0,
         "pruned": 0,
         "certificates": [],
-        "shards": 0,
-        "duplicates": 0,
-        "plane_attached": 0,
-        "plane_degraded": 0,
         "peak_rss_kb": 0,
         "store_degraded": None,
     }
@@ -138,9 +124,9 @@ def _peak_rss_kb() -> int:
     attributable to the worker's own loads and replay — is what the grid
     summary aggregates, cancelling whatever the parent had resident at
     fork time.  On Linux the sample is Pss from ``smaps_rollup``, which
-    attributes pages shared between siblings (the trace plane's segments,
-    mmap'd v2 store entries) fractionally — plain RSS bills a shared page
-    at full price in every attached worker, hiding the sharing entirely.
+    attributes pages shared between siblings (mmap'd store entries)
+    fractionally — plain RSS bills a shared page at full price in every
+    worker mapping it, hiding the sharing entirely.
     Elsewhere it falls back to peak RSS via ``ru_maxrss``.
     """
     try:
@@ -162,22 +148,12 @@ def _peak_rss_kb() -> int:
 
 
 def _merge_stats(into: Dict[str, Any], other: Dict[str, Any]) -> None:
-    into["families"] += other.get("families", 0)
-    into["family_cells"] += other.get("family_cells", 0)
-    into["pruned"] += other.get("pruned", 0)
-    into["certificates"].extend(other.get("certificates", []))
-    into["shards"] = into.get("shards", 0) + other.get("shards", 0)
-    into["duplicates"] = into.get("duplicates", 0) + other.get("duplicates", 0)
-    into["plane_attached"] = into.get("plane_attached", 0) + other.get(
-        "plane_attached", 0
-    )
-    into["plane_degraded"] = into.get("plane_degraded", 0) + other.get(
-        "plane_degraded", 0
-    )
-    into["peak_rss_kb"] = max(
-        into.get("peak_rss_kb", 0), other.get("peak_rss_kb", 0)
-    )
-    degraded = other.get("store_degraded")
+    into["families"] += other["families"]
+    into["family_cells"] += other["family_cells"]
+    into["pruned"] += other["pruned"]
+    into["certificates"].extend(other["certificates"])
+    into["peak_rss_kb"] = max(into["peak_rss_kb"], other["peak_rss_kb"])
+    degraded = other["store_degraded"]
     if degraded:
         # Workers suppress their own copy of the cache-degradation warning
         # (see store.suppress_write_warnings); the parent relays exactly
@@ -414,7 +390,6 @@ def _chunk_worker_main(
     spec: Dict[str, Any],
     config: ResilienceConfig,
     chaos_config: Optional[chaos.ChaosConfig],
-    plane_handles: Optional[Dict[str, Any]],
     benchmark: str,
     attempt: int,
     cells: Tuple["GridCell", ...],
@@ -445,10 +420,6 @@ def _chunk_worker_main(
         from repro.experiments.runner import ExperimentRunner
 
         runner = ExperimentRunner(**spec)
-        if plane_handles:
-            from repro.engine.plane import PlaneClient
-
-            runner.plane = PlaneClient(plane_handles)
 
         def emit(index: int, report: SimulationReport) -> None:
             results.append((index, report))
@@ -461,10 +432,6 @@ def _chunk_worker_main(
         store = getattr(runner, "store", None)
         if store is not None and getattr(store, "writes_disabled", False):
             stats["store_degraded"] = str(store.root)
-        plane = getattr(runner, "plane", None)
-        if plane is not None:
-            stats["plane_attached"] = int(getattr(plane, "attached", 0))
-            stats["plane_degraded"] = int(getattr(plane, "degraded", 0))
         stats["peak_rss_kb"] = max(0, _peak_rss_kb() - rss_baseline)
         conn.send(("done", results, failures, error, stats))
     except BaseException as exc:  # noqa: B036 - report, then die
@@ -542,7 +509,6 @@ def _run_parallel(
     context = _mp_context()
     spec = runner.spawn_spec()
     chaos_config = chaos.current()
-    plane_handles = getattr(runner, "plane_handles", None)
     pending = list(chunks)
     active: List[_Active] = []
     exhausted: List[_Chunk] = []
@@ -556,7 +522,6 @@ def _run_parallel(
                 spec,
                 config,
                 chaos_config,
-                plane_handles,
                 chunk.benchmark,
                 chunk.attempts,
                 tuple(chunk.cells),
@@ -765,17 +730,9 @@ def supervise_grid(
             journal.flush()
 
     pending = {benchmark: group for benchmark, group in groups.items() if group}
-    pending_cells = sum(len(group) for group in pending.values())
-    # The local backend parallelizes across benchmark chunks, so one
-    # benchmark gains nothing from workers; the sharded backend shards by
-    # the planner key and can fan out any multi-cell grid.
-    parallel = jobs > 1 and (
-        len(pending) > 1 or (config.backend != "local" and pending_cells > 1)
-    )
-    if parallel:
-        from repro.resilience.backends import resolve_backend
-
-        backend = resolve_backend(config.backend)
+    # Workers parallelize across benchmark chunks, so one benchmark gains
+    # nothing from them.
+    if jobs > 1 and len(pending) > 1:
         chunks = [
             _Chunk(benchmark, list(group)) for benchmark, group in pending.items()
         ]
@@ -785,36 +742,9 @@ def supervise_grid(
             if journal is not None:
                 journal.flush()
 
-        # Publish the pending cells' warm trace arrays into a shared-memory
-        # arena so workers attach zero-copy instead of re-loading (see
-        # repro.engine.plane).  Best effort: any failure just means workers
-        # use their own load path, bit-identically.
-        arena = None
-        if hasattr(runner, "publish_plane"):
-            try:
-                from repro.engine import plane as plane_module
-
-                if plane_module.plane_enabled():
-                    arena = plane_module.TraceArena()
-                    pending_all = [
-                        cell for group in pending.values() for cell in group
-                    ]
-                    if runner.publish_plane(arena, pending_all) == 0:
-                        arena.close()
-                        arena = None
-            except Exception:
-                if arena is not None:
-                    arena.close()
-                arena = None
-        try:
-            runner.plane_handles = arena.handles() if arena is not None else None
-            exhausted = backend.run(
-                runner, chunks, jobs, config, failures, adopt_and_flush, stats, journal
-            )
-        finally:
-            runner.plane_handles = None
-            if arena is not None:
-                arena.close()
+        exhausted = _run_parallel(
+            runner, chunks, jobs, config, failures, adopt_and_flush, stats
+        )
         for chunk in exhausted:
             before = len(failed)
             run_in_process(chunk.benchmark, chunk.cells)
@@ -846,11 +776,6 @@ def supervise_grid(
         family_cells=stats["family_cells"],
         pruned=stats["pruned"],
         prune_certificates=tuple(stats["certificates"]),
-        backend=config.backend,
-        shards=stats["shards"],
-        duplicate_results=stats["duplicates"],
-        plane_attached=stats["plane_attached"],
-        plane_degraded=stats["plane_degraded"],
         peak_worker_rss_kb=stats["peak_rss_kb"],
     )
     if failed:

@@ -1,26 +1,20 @@
 """Persistence of traces: generate once, replay everywhere.
 
 Block traces and line-event traces are the expensive artefacts of the
-pipeline.  Two on-disk formats live here:
+pipeline.  Each is stored as an *entry directory*: a ``meta.json`` record
+plus one raw ``.npy`` file per array, saved in the canonical replay
+dtypes.  Loads open the members with ``mmap`` and return **read-only views
+backed by the page cache** — no decompression, no copies, and every
+process mapping the same entry shares the same physical pages.
 
-* **v1** — one compressed ``.npz`` archive per trace.  Compact and
-  self-contained, but every load decompresses the whole archive into
-  fresh heap copies.
-* **v2** — one *entry directory* per trace: a ``meta.json`` record plus
-  one raw ``.npy`` file per array, saved in the canonical replay dtypes.
-  Loads open the members with ``mmap_mode="r"`` and return **read-only
-  views backed by the page cache** — no decompression, no copies, and
-  every process mapping the same entry shares the same physical pages.
-
-Either format may carry a *cache key*: an opaque string recording what
-the trace was derived from.  The persistent artifact cache
+An entry may carry a *cache key*: an opaque string recording what the
+trace was derived from.  The persistent artifact cache
 (:class:`repro.engine.store.TraceStore`) stamps every entry with its full
 content key and passes ``expected_key`` on load, so a stale or colliding
 entry raises :class:`~repro.errors.TraceError` instead of silently feeding
-a wrong trace into an experiment.  Loads of both formats return traces
-whose arrays are marked non-writeable: trace arrays are shared inputs
-(mmap'd files, shared-memory segments), and no engine tier may mutate
-them.
+a wrong trace into an experiment.  Loaded arrays are marked non-writeable:
+trace arrays are shared inputs (mmap'd files), and no engine tier may
+mutate them.
 """
 
 from __future__ import annotations
@@ -39,21 +33,16 @@ from repro.trace.executor import BlockTrace
 __all__ = [
     "save_events",
     "load_events",
-    "save_events_v2",
-    "load_events_v2",
     "save_block_trace",
     "load_block_trace",
-    "save_block_trace_v2",
-    "load_block_trace_v2",
-    "read_cache_key",
 ]
 
-_EVENTS_KIND = "repro-line-events-v1"
-_BLOCKS_KIND = "repro-block-trace-v1"
-_EVENTS_KIND_V2 = "repro-line-events-v2"
-_BLOCKS_KIND_V2 = "repro-block-trace-v2"
+#: The ``kind`` tag of each entry's meta record.  The ``-v2`` suffix names
+#: the entry format (store format 2), so existing entries stay loadable.
+_EVENTS_KIND = "repro-line-events-v2"
+_BLOCKS_KIND = "repro-block-trace-v2"
 
-#: Canonical member dtypes of a v2 entry.  Saving normalises to these, so
+#: Canonical member dtypes of an entry.  Saving normalises to these, so
 #: loads hand the replay kernels mmap'd views directly — no ``.astype``
 #: copies on the hot path.
 _EVENT_MEMBERS: Tuple[Tuple[str, type], ...] = (
@@ -70,112 +59,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_key(archive, path, expected_key: Optional[str]) -> None:
-    if expected_key is None:
-        return
-    stored = str(archive["cache_key"]) if "cache_key" in archive else ""
-    if stored != expected_key:
-        raise TraceError(
-            f"{path} was derived under a different key (stale cache entry)"
-        )
-
-
-def save_events(
-    events: LineEventTrace, path: Union[str, Path], key: str = ""
-) -> None:
-    """Write a line-event trace as a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        Path(path),
-        kind=np.array(_EVENTS_KIND),
-        cache_key=np.array(key),
-        line_size=np.array(events.line_size, dtype=np.int64),
-        line_addrs=events.line_addrs,
-        counts=events.counts,
-        slots=events.slots,
-    )
-
-
-def load_events(
-    path: Union[str, Path], expected_key: Optional[str] = None
-) -> LineEventTrace:
-    """Read a line-event trace written by :func:`save_events`.
-
-    ``expected_key`` (when given) must match the key the archive was saved
-    with; a mismatch raises :class:`TraceError` so cache consumers re-derive.
-    """
-    try:
-        archive = np.load(Path(path), allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise TraceError(f"cannot load events from {path}: {exc}") from exc
-    with archive:
-        if "kind" not in archive or str(archive["kind"]) != _EVENTS_KIND:
-            raise TraceError(f"{path} is not a line-event trace archive")
-        _check_key(archive, path, expected_key)
-        return LineEventTrace(
-            line_size=int(archive["line_size"]),
-            line_addrs=_read_only(archive["line_addrs"].astype(np.int64)),
-            counts=_read_only(archive["counts"].astype(np.int32)),
-            slots=_read_only(archive["slots"].astype(np.int16)),
-        )
-
-
-def save_block_trace(
-    trace: BlockTrace, path: Union[str, Path], key: str = ""
-) -> None:
-    """Write a block trace as a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        Path(path),
-        kind=np.array(_BLOCKS_KIND),
-        cache_key=np.array(key),
-        program_name=np.array(trace.program_name),
-        uids=trace.uids,
-        num_instructions=np.array(trace.num_instructions, dtype=np.int64),
-        num_program_runs=np.array(trace.num_program_runs, dtype=np.int64),
-    )
-
-
-def load_block_trace(
-    path: Union[str, Path], expected_key: Optional[str] = None
-) -> BlockTrace:
-    """Read a block trace written by :func:`save_block_trace`.
-
-    ``expected_key`` behaves as in :func:`load_events`.
-    """
-    try:
-        archive = np.load(Path(path), allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise TraceError(f"cannot load block trace from {path}: {exc}") from exc
-    with archive:
-        if "kind" not in archive or str(archive["kind"]) != _BLOCKS_KIND:
-            raise TraceError(f"{path} is not a block-trace archive")
-        _check_key(archive, path, expected_key)
-        return BlockTrace(
-            program_name=str(archive["program_name"]),
-            uids=_read_only(archive["uids"].astype(np.int32)),
-            num_instructions=int(archive["num_instructions"]),
-            num_program_runs=int(archive["num_program_runs"]),
-        )
-
-
-def read_cache_key(path: Union[str, Path]) -> Optional[str]:
-    """The cache key embedded in a v1 archive (``None`` when absent/empty).
-
-    Used by bulk migration, which has only the entry on disk and must
-    recover the key it was derived under.  Raises like :func:`np.load`
-    on unreadable archives.
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        if "cache_key" not in archive:
-            return None
-        return str(archive["cache_key"]) or None
-
-
-# ---------------------------------------------------------------------------
-# Format v2: mmap-able entry directories
-# ---------------------------------------------------------------------------
-
-
-def _save_entry_v2(
+def _save_entry(
     entry: Path,
     kind: str,
     key: str,
@@ -190,8 +74,8 @@ def _save_entry_v2(
     (entry / "meta.json").write_text(json.dumps(meta, sort_keys=True))
 
 
-def _load_meta_v2(
-    entry: Path, expected_kind: str, expected_key: Optional[str]
+def _load_meta(
+    entry: Path, expected_kind: str, what: str, expected_key: Optional[str]
 ) -> Dict[str, Any]:
     try:
         meta = json.loads((entry / "meta.json").read_text())
@@ -200,7 +84,7 @@ def _load_meta_v2(
     except ValueError as exc:
         raise TraceError(f"{entry} has a corrupt meta record: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("kind") != expected_kind:
-        raise TraceError(f"{entry} is not a {expected_kind} entry")
+        raise TraceError(f"{entry} is not a {what} entry")
     if expected_key is not None and meta.get("cache_key", "") != expected_key:
         raise TraceError(
             f"{entry} was derived under a different key (stale cache entry)"
@@ -212,7 +96,7 @@ def _mmap_member(member: Path) -> Optional[np.ndarray]:
     """Map a 1-d ``.npy`` file read-only; ``None`` when the fast path can't.
 
     ``np.load(mmap_mode=...)`` constructs an ``np.memmap`` — ~90us of
-    Python per member, which dominates a warm v2 load.  Parsing the
+    Python per member, which dominates a warm load.  Parsing the
     header and wrapping an ``mmap.mmap`` in ``np.frombuffer`` maps the
     same pages in a fraction of that, keeping warm loads a near-constant
     few file opens.  Raises ``FileNotFoundError``/``OSError`` like
@@ -236,7 +120,7 @@ def _mmap_member(member: Path) -> Optional[np.ndarray]:
     return np.frombuffer(buffer, dtype=dtype, count=shape[0], offset=offset)
 
 
-def _load_member_v2(entry: Path, name: str, dtype: type) -> np.ndarray:
+def _load_member(entry: Path, name: str, dtype: type) -> np.ndarray:
     member = entry / f"{name}.npy"
     try:
         array = _mmap_member(member)
@@ -260,13 +144,13 @@ def _load_member_v2(entry: Path, name: str, dtype: type) -> np.ndarray:
     return _read_only(array)
 
 
-def save_events_v2(
+def save_events(
     events: LineEventTrace, path: Union[str, Path], key: str = ""
 ) -> None:
-    """Write a line-event trace as a v2 mmap-able entry directory."""
-    _save_entry_v2(
+    """Write a line-event trace as an mmap-able entry directory."""
+    _save_entry(
         Path(path),
-        _EVENTS_KIND_V2,
+        _EVENTS_KIND,
         key,
         {"line_size": int(events.line_size)},
         {
@@ -276,34 +160,37 @@ def save_events_v2(
     )
 
 
-def load_events_v2(
+def load_events(
     path: Union[str, Path], expected_key: Optional[str] = None
 ) -> LineEventTrace:
-    """Read a v2 line-event entry as read-only mmap'd views.
+    """Read a line-event entry written by :func:`save_events` as read-only
+    mmap'd views.
 
-    Corrupt or foreign entries raise :class:`TraceError`; transient
-    filesystem errors (e.g. permissions) propagate as :class:`OSError` so
-    callers can keep the entry.
+    ``expected_key`` (when given) must match the key the entry was saved
+    with.  A mismatch, and any corrupt, missing or foreign entry, raises
+    :class:`TraceError` so cache consumers re-derive; transient filesystem
+    errors (e.g. permissions) propagate as :class:`OSError` so callers can
+    keep the entry.
     """
     entry = Path(path)
-    meta = _load_meta_v2(entry, _EVENTS_KIND_V2, expected_key)
+    meta = _load_meta(entry, _EVENTS_KIND, "line-event trace", expected_key)
     try:
         line_size = int(meta["line_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"{entry} has a corrupt line_size record") from exc
     arrays = {
-        name: _load_member_v2(entry, name, dtype) for name, dtype in _EVENT_MEMBERS
+        name: _load_member(entry, name, dtype) for name, dtype in _EVENT_MEMBERS
     }
     return LineEventTrace(line_size=line_size, **arrays)
 
 
-def save_block_trace_v2(
+def save_block_trace(
     trace: BlockTrace, path: Union[str, Path], key: str = ""
 ) -> None:
-    """Write a block trace as a v2 mmap-able entry directory."""
-    _save_entry_v2(
+    """Write a block trace as an mmap-able entry directory."""
+    _save_entry(
         Path(path),
-        _BLOCKS_KIND_V2,
+        _BLOCKS_KIND,
         key,
         {
             "program_name": str(trace.program_name),
@@ -317,15 +204,16 @@ def save_block_trace_v2(
     )
 
 
-def load_block_trace_v2(
+def load_block_trace(
     path: Union[str, Path], expected_key: Optional[str] = None
 ) -> BlockTrace:
-    """Read a v2 block-trace entry as read-only mmap'd views.
+    """Read a block-trace entry written by :func:`save_block_trace` as
+    read-only mmap'd views.
 
-    Error behaviour matches :func:`load_events_v2`.
+    ``expected_key`` and error behaviour match :func:`load_events`.
     """
     entry = Path(path)
-    meta = _load_meta_v2(entry, _BLOCKS_KIND_V2, expected_key)
+    meta = _load_meta(entry, _BLOCKS_KIND, "block-trace", expected_key)
     try:
         program_name = str(meta["program_name"])
         num_instructions = int(meta["num_instructions"])
@@ -334,7 +222,7 @@ def load_block_trace_v2(
         raise TraceError(f"{entry} has a corrupt scalar record") from exc
     return BlockTrace(
         program_name=program_name,
-        uids=_load_member_v2(entry, "uids", np.int32),
+        uids=_load_member(entry, "uids", np.int32),
         num_instructions=num_instructions,
         num_program_runs=num_program_runs,
     )

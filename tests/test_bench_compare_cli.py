@@ -29,9 +29,6 @@ def _metrics(**overrides):
         "grid.wpa_sweep_16": {"batch_speedup": 4.0},
         "grid.wpa_sweep_256": {"differential_speedup": 10.0},
         "grid.wpa_sweep_256_pruned": {"pruned_fraction": 0.9},
-        "grid.sharded_sweep": {"chaos_identical": 1.0},
-        "store.load_events": {"warm_speedup": 8.0},
-        "grid.arena_rss": {"arena_no_worse": 1.0},
     }
     for metric, fields in overrides.items():
         base[metric] = fields

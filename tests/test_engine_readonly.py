@@ -1,8 +1,7 @@
 """Read-only trace discipline: no engine tier mutates its input arrays.
 
-Trace arrays arrive shared — mmap'd v2 store entries
-(:mod:`repro.trace.io`), shared-memory plane segments
-(:mod:`repro.engine.plane`) — so every engine tier must treat them as
+Trace arrays arrive shared — mmap'd store entries
+(:mod:`repro.trace.io`) — so every engine tier must treat them as
 immutable inputs.  Replaying on arrays with the ``writeable`` flag
 dropped turns any accidental in-place mutation into a hard
 ``ValueError``; equality against the writable replay pins bit-identical

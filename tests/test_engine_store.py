@@ -1,5 +1,6 @@
 """Tests for the persistent artifact cache and the parallel grid runner."""
 
+import hashlib
 import json
 import warnings
 
@@ -16,12 +17,7 @@ from repro.layout import original_layout
 from repro.layout.placement import LayoutPolicy
 from repro.trace.executor import CfgWalker
 from repro.trace.fetch import line_events_from_block_trace
-from repro.trace.io import (
-    load_block_trace,
-    save_block_trace,
-    save_block_trace_v2,
-    save_events,
-)
+from repro.trace.io import load_block_trace, save_block_trace
 
 KB = 1024
 
@@ -58,20 +54,20 @@ class TestKeyedArchives:
 
     def test_matching_key_loads(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.v2"
         save_block_trace(trace, path, key="spam")
         assert_same_block_trace(load_block_trace(path, expected_key="spam"), trace)
 
     def test_mismatched_key_raises(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.v2"
         save_block_trace(trace, path, key="spam")
         with pytest.raises(TraceError, match="different key"):
             load_block_trace(path, expected_key="eggs")
 
     def test_keyless_archive_fails_key_check_but_loads_plain(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "t.npz"
+        path = tmp_path / "t.v2"
         save_block_trace(trace, path)
         with pytest.raises(TraceError):
             load_block_trace(path, expected_key="spam")
@@ -123,7 +119,7 @@ class TestTraceStore:
         trace, _ = traced
         path = store.path_for("blocks", "k1")
         store.root.mkdir(parents=True, exist_ok=True)
-        save_block_trace_v2(trace, path, key="something-else")
+        save_block_trace(trace, path, key="something-else")
         assert store.load_block_trace("k1") is None
         assert not path.exists()
 
@@ -262,17 +258,20 @@ class TestStoreFailureModes:
 
 
 class TestFormatV2AndMigration:
-    """Format v2 entry directories, the ``REPRO_STORE_FORMAT`` rollback
-    knob, and v1 -> v2 migration — read-through, bulk, and profiles."""
+    """Format v2 entry directories, and entries written before them: an
+    old ``.npz`` entry, or one keyed ``v1|...``, is never read or
+    migrated — the lookup misses and the artifact is re-derived."""
 
     KEY = f"v{TraceStore.FORMAT_VERSION}|blocks|toy|seed=0"
 
-    def _plant_v1(self, store, trace, key):
-        """Write a v1-era block entry exactly where the old store kept it."""
-        legacy = store.legacy_path_for("blocks", key)
+    @staticmethod
+    def _plant_npz(store, key):
+        """A leftover format-v1 archive, named as the old store named it."""
+        name = hashlib.sha256(key.encode()).hexdigest()[:24]
+        path = store.root / f"blocks-{name}.npz"
         store.root.mkdir(parents=True, exist_ok=True)
-        save_block_trace(trace, legacy, key=TraceStore._legacy_key(key))
-        return legacy
+        path.write_bytes(b"PK\x03\x04 a v1-era npz archive")
+        return path
 
     def test_v2_entries_are_mmapable_directories(self, store, traced):
         trace, _ = traced
@@ -283,82 +282,38 @@ class TestFormatV2AndMigration:
         assert_same_block_trace(loaded, trace)
         assert loaded.uids.flags.writeable is False
 
-    def test_store_format_env_rolls_back_to_v1(self, tmp_path, traced, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-        store = TraceStore(tmp_path / "cache")
-        trace, events = traced
-        bpath = store.save_block_trace("k1", trace)
-        epath = store.save_events("k2", events)
-        assert bpath.suffix == ".npz" and bpath.is_file()
-        assert epath.suffix == ".npz"
-        assert_same_block_trace(store.load_block_trace("k1"), trace)
-        loaded = store.load_events("k2")
-        assert_same_events(loaded, events)
-        # v1 loads obey the same read-only discipline as mmap'd v2 loads
-        assert loaded.line_addrs.flags.writeable is False
-        assert store.stats()["format_entries"] == {"v1": 2, "v2": 0}
-
-    def test_read_through_migration_republishes_v1_entries(self, store, traced):
-        trace, _ = traced
-        legacy = self._plant_v1(store, trace, self.KEY)
-        assert store.stats()["format_entries"] == {"v1": 1, "v2": 0}
-        loaded = store.load_block_trace(self.KEY)
-        assert_same_block_trace(loaded, trace)
-        assert store.hits == 1 and store.migrated == 1
-        # the legacy archive is gone; the v2 entry serves future readers
-        assert not legacy.exists()
-        assert store.path_for("blocks", self.KEY).is_dir()
-        assert store.stats()["format_entries"] == {"v1": 0, "v2": 1}
-        assert store.stats()["session_migrated"] == 1
-        fresh = TraceStore(store.root)
-        assert_same_block_trace(fresh.load_block_trace(self.KEY), trace)
-        assert fresh.migrated == 0  # already current: a plain v2 hit
-
-    def test_corrupt_v1_entry_is_discarded_not_migrated(self, store, traced):
-        trace, _ = traced
-        legacy = self._plant_v1(store, trace, self.KEY)
-        legacy.write_bytes(b"torn v1 archive")
+    @pytest.mark.parametrize(
+        "stored_key", ["v1|blocks|toy|seed=0", KEY], ids=["v1-key", "same-key"]
+    )
+    def test_leftover_npz_entry_is_never_read(self, store, stored_key):
+        leftover = self._plant_npz(store, stored_key)
         assert store.load_block_trace(self.KEY) is None
-        assert not legacy.exists()
+        assert store.misses == 1 and store.hits == 0
+        # a miss, not a discard: the entry is left for ``clear()``
+        assert leftover.exists()
         assert not store.path_for("blocks", self.KEY).exists()
 
-    def test_same_key_npz_entries_migrate_too(self, tmp_path, traced, monkeypatch):
-        """Entries a ``REPRO_STORE_FORMAT=1`` store wrote under the
-        *current* key are also found and republished as v2."""
+    def test_runner_rederives_over_leftover_npz_entries(self, tmp_path):
+        runner = make_runner(tmp_path / "cache")
+        key = runner._block_trace_key("crc")
+        leftovers = [
+            self._plant_npz(runner.store, stored)
+            for stored in ("v1|" + key.split("|", 1)[1], key)
+        ]
+        trace = runner.block_trace("crc")
+        assert runner.store.kind_misses["blocks"] == 1
+        assert_same_block_trace(trace, make_runner("off").block_trace("crc"))
+        assert runner.store.path_for("blocks", key).is_dir()
+        assert all(leftover.exists() for leftover in leftovers)
+
+    def test_clear_removes_leftover_npz_entries(self, store, traced):
         trace, _ = traced
-        monkeypatch.setenv("REPRO_STORE_FORMAT", "1")
-        old = TraceStore(tmp_path / "cache")
-        npz = old.save_block_trace(self.KEY, trace)
-        monkeypatch.delenv("REPRO_STORE_FORMAT")
-        store = TraceStore(tmp_path / "cache")
-        assert_same_block_trace(store.load_block_trace(self.KEY), trace)
-        assert store.migrated == 1
-        assert not npz.exists()
-
-    def test_profile_read_through_migration(self, store, fast_runner):
-        profile = fast_runner.profile("crc")
-        key = f"v{TraceStore.FORMAT_VERSION}|profile|crc"
-        legacy = store.save_profile(TraceStore._legacy_key(key), profile)
-        assert legacy == store.legacy_path_for("profile", key)
-        loaded = store.load_profile(key)
-        assert loaded.block_counts == profile.block_counts
-        assert store.migrated == 1
-        assert not legacy.exists()
-        assert store.path_for("profile", key).exists()
-
-    def test_bulk_migrate_counts_and_rewrites_everything(self, store, traced):
-        trace, events = traced
-        self._plant_v1(store, trace, self.KEY)
-        ekey = f"v{TraceStore.FORMAT_VERSION}|events|toy|seed=0"
-        elegacy = store.legacy_path_for("events", ekey)
-        save_events(events, elegacy, key=TraceStore._legacy_key(ekey))
-        store.save_events("k2", events)  # already current
-        (store.root / "blocks-0badc0ffee.npz").write_bytes(b"junk")
-        outcome = store.migrate()
-        assert outcome == {"migrated": 2, "discarded": 1, "skipped": 1}
-        assert store.stats()["format_entries"] == {"v1": 0, "v2": 3}
-        assert_same_block_trace(store.load_block_trace(self.KEY), trace)
-        assert_same_events(store.load_events(ekey), events)
+        leftover = self._plant_npz(store, "v1|blocks|toy|seed=0")
+        store.save_block_trace(self.KEY, trace)
+        assert store.entries()["blocks"] == 2
+        assert store.clear() == 2
+        assert not leftover.exists()
+        assert store.entries()["blocks"] == 0
 
     def test_tmp_staging_names_are_unique_within_a_process(self, store):
         path = store.path_for("blocks", "k1")

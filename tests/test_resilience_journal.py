@@ -161,7 +161,7 @@ class TestResumeJournal:
         journal.flush()
         with open(journal.path, "a") as handle:
             handle.write("not json at all\n")
-            handle.write('{"neither": "cell", "nor": "lease"}\n')
+            handle.write('{"neither": "cell", "nor": "report"}\n')
             handle.write('{"cell": 17, "report": "not-a-dict"}\n')
         fresh = ResumeJournal.for_grid(tmp_path, "g1")
         with warnings.catch_warnings(record=True) as caught:
@@ -172,8 +172,8 @@ class TestResumeJournal:
         assert len(messages) == 1
 
     def test_duplicate_cell_records_are_replay_safe(self, tmp_path, fast_runner):
-        """A cell recorded twice (resume, duplicate shard delivery) loads
-        once; the engines are bit-identical so the last occurrence wins."""
+        """A cell recorded twice (a resumed run) loads once; the engines
+        are bit-identical so the last occurrence wins."""
         report = fast_runner.report("crc", "baseline")
         journal = ResumeJournal.for_grid(tmp_path, "g1")
         journal.record("k", report)
@@ -184,17 +184,36 @@ class TestResumeJournal:
         assert set(completed) == {"k"}
         assert report_from_dict(completed["k"]) == report
 
-    def test_lease_records_roundtrip_alongside_cells(self, tmp_path, fast_runner):
-        journal = ResumeJournal.for_grid(tmp_path, "g1")
-        journal.record_lease("crc:original:32KB", worker=1, attempt=1, cell_keys=["a", "b"])
-        journal.record("a", fast_runner.report("crc", "baseline"))
-        journal.record_lease("crc:original:32KB", worker=2, attempt=2, cell_keys=["a", "b"])
-        journal.flush()
-        fresh = ResumeJournal.for_grid(tmp_path, "g1")
-        leases = fresh.load_leases()
-        assert [lease["worker"] for lease in leases] == [1, 2]
-        assert leases[0]["cells"] == ["a", "b"]
-        assert set(fresh.completed) == {"a"}
+    def test_journal_with_lease_lines_still_resumes(self, tmp_path):
+        """A journal written by the retired sharded backend interleaves
+        shard-lease lines with cell lines.  Resume adopts every recorded
+        cell; the lease lines are skipped under the one-time corrupt-record
+        warning."""
+        from repro.resilience.policy import ResilienceConfig
+
+        cells = TestJournalLifecycleInGrids.CELLS
+        cache = tmp_path / "cache"
+        want = make_runner("off").run_grid(cells, jobs=1)
+        keys = [cell_content_key(cell) for cell in cells]
+        grid_key = grid_digest(make_runner(cache).spawn_spec(), keys)
+        path = ResumeJournal.for_grid(cache, grid_key).path
+        path.parent.mkdir(parents=True)
+        lines = [{"version": 2, "grid_key": grid_key}]
+        for attempt, (key, report) in enumerate(zip(keys, want), start=1):
+            lease = {"shard": f"crc:{attempt}", "worker": attempt, "attempt": 1, "cells": [key]}
+            lines.append({"lease": lease})
+            lines.append({"cell": key, "report": report_to_dict(report)})
+        path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+
+        runner = make_runner(cache, resilience=ResilienceConfig(resume=True))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = runner.run_grid(cells, jobs=1)
+        assert got == want
+        assert set(runner.last_grid.resumed) == set(keys)
+        assert runner.last_grid.executed == ()
+        messages = [w for w in caught if "2 corrupt record" in str(w.message)]
+        assert len(messages) == 1
 
 
 class TestJournalLifecycleInGrids:

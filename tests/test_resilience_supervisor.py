@@ -8,6 +8,7 @@ resume from its journal, re-executing only the missing cells.
 """
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -166,6 +167,111 @@ class TestChaosGridAcceptance:
         assert recoveries == {"retry", "engine-fallback"}
 
 
+class TestLocalPool:
+    """The parallel path: forked workers, one per benchmark chunk, each
+    loading its own traces from the store."""
+
+    def test_warm_parallel_grid_builds_nothing_in_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        """On a warm store the parent only schedules: no workload is built
+        before (or instead of) the workers, and the reports are
+        bit-identical to a serial run."""
+        import repro.experiments.runner as runner_module
+
+        cache = tmp_path / "cache"
+        want = make_runner(cache).run_grid(CELLS, jobs=1)
+        built = []
+        load_benchmark = runner_module.load_benchmark
+
+        def counting(name):
+            built.append(name)
+            return load_benchmark(name)
+
+        monkeypatch.setattr(runner_module, "load_benchmark", counting)
+        runner = make_runner(cache)
+        got = runner.run_grid(CELLS, jobs=2)
+        assert got == want
+        assert built == []
+        assert len(runner.last_grid.executed) == len(CELLS)
+
+    def test_worker_store_degradation_warns_once_in_parent(self, tmp_path):
+        """One degrade warning for a whole pool of failing workers."""
+        from repro.engine import store as store_module
+
+        store_module._warned_write_failure = False
+        try:
+            runner = make_runner(
+                tmp_path / "cache",
+                resilience=ResilienceConfig(retries=3, backoff_s=0.01, timeout_s=10.0),
+            )
+            rule = ChaosRule("store.save", "enospc", times=-1)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with chaos.active(ChaosConfig(seed=3, rules=(rule,))):
+                    got = runner.run_grid(CELLS, jobs=2)
+            assert got == fault_free_reports()
+            degrade = [w for w in caught if "trace cache write" in str(w.message)]
+            assert len(degrade) == 1
+        finally:
+            store_module._warned_write_failure = False
+
+
+class TestDifferentialTierChaos:
+    """Worker replacement + the differential→batch→per-cell ladder, all in
+    one supervised parallel run."""
+
+    FAMILY_CELLS = [
+        GridCell("crc", "way-placement", wpa_size=4 * KB),
+        GridCell("crc", "way-placement", wpa_size=8 * KB),
+        GridCell("sha", "way-placement", wpa_size=4 * KB),
+        GridCell("sha", "way-placement", wpa_size=8 * KB),
+    ]
+
+    def test_hung_worker_is_replaced_and_family_tiers_degrade(self):
+        want = make_runner().run_grid(self.FAMILY_CELLS, jobs=1)
+        runner = make_runner(
+            engine="differential",
+            resilience=ResilienceConfig(retries=2, backoff_s=0.01, timeout_s=2.0),
+        )
+        config = ChaosConfig(
+            seed=13,
+            rules=(
+                # the first crc worker hangs until the supervisor kills it
+                ChaosRule("worker", "hang", match="crc@1", times=1, delay_s=60.0),
+                # in its replacement, the differential tier fails once ...
+                ChaosRule("differential", "raise", match="crc", times=1),
+                # ... and so does the batch tier, falling to per-cell
+                ChaosRule("family", "raise", match="crc", times=1),
+            ),
+        )
+        with chaos.active(config):
+            got = runner.run_grid(self.FAMILY_CELLS, jobs=2)
+        assert got == want
+        incidents = runner.last_failures
+        assert all(f.recovered for f in incidents)
+        recoveries = {f.recovery for f in incidents}
+        assert {"fresh-worker", "batch", "per-cell"} <= recoveries
+        causes = " ".join(c for f in incidents for c in f.causes)
+        assert "timed out" in causes
+
+
+class TestChaosDrill:
+    def test_build_rules_is_deterministic(self):
+        from repro.resilience.drill import build_rules
+
+        assert build_rules(13) == build_rules(13)
+        sites = {rule.site for rule in build_rules(13)}
+        assert {"worker", "kernel", "cell", "store.save"} == sites
+
+    def test_seeded_drill_stays_bit_identical(self):
+        from repro.resilience.drill import run_drill
+
+        summary = run_drill(seed=5)
+        assert summary["ok"], summary["incidents"]
+        assert summary["identical"] and summary["recovered"]
+
+
 class TestPartialCompletion:
     """Satellite: completed work is adopted before a failure surfaces."""
 
@@ -299,6 +405,12 @@ class TestCliFlags:
         assert config.timeout_s == 30.0
         assert config.resume is True
         assert config.fallback is FallbackPolicy.NONE
+
+    def test_chaos_seed_flags_are_mutually_exclusive(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--seed", "1", "--seeds", "1,2"]) == 2
+        assert "not both" in capsys.readouterr().err
 
     def test_no_flags_means_no_explicit_config(self):
         from repro.cli import _make_runner, build_parser

@@ -26,7 +26,7 @@ def traced(toy_program, toy_models):
 class TestEventsRoundtrip:
     def test_roundtrip(self, tmp_path, traced):
         _, events = traced
-        path = tmp_path / "events.npz"
+        path = tmp_path / "events.v2"
         save_events(events, path)
         loaded = load_events(path)
         assert loaded.line_size == events.line_size
@@ -38,7 +38,7 @@ class TestEventsRoundtrip:
         from repro.sim.simulator import Simulator
 
         _, events = traced
-        path = tmp_path / "events.npz"
+        path = tmp_path / "events.v2"
         save_events(events, path)
         loaded = load_events(path)
         a = Simulator().run_events(events, "baseline")
@@ -47,20 +47,20 @@ class TestEventsRoundtrip:
 
     def test_wrong_kind_rejected(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "blocks.npz"
+        path = tmp_path / "blocks.v2"
         save_block_trace(trace, path)
         with pytest.raises(TraceError, match="not a line-event"):
             load_events(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):
-            load_events(tmp_path / "nope.npz")
+            load_events(tmp_path / "nope.v2")
 
 
 class TestBlockTraceRoundtrip:
     def test_roundtrip(self, tmp_path, traced):
         trace, _ = traced
-        path = tmp_path / "blocks.npz"
+        path = tmp_path / "blocks.v2"
         save_block_trace(trace, path)
         loaded = load_block_trace(path)
         assert loaded.program_name == trace.program_name
@@ -70,7 +70,7 @@ class TestBlockTraceRoundtrip:
 
     def test_wrong_kind_rejected(self, tmp_path, traced):
         _, events = traced
-        path = tmp_path / "events.npz"
+        path = tmp_path / "events.v2"
         save_events(events, path)
         with pytest.raises(TraceError, match="not a block-trace"):
             load_block_trace(path)
