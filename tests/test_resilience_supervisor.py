@@ -195,6 +195,33 @@ class TestLocalPool:
         assert built == []
         assert len(runner.last_grid.executed) == len(CELLS)
 
+    def test_cold_parallel_grid_matches_serial_and_warms_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """On a cold store the workers derive and persist their own traces:
+        the reports are bit-identical to a storeless serial run, and a
+        second parallel run over the same store builds nothing in the
+        parent."""
+        import repro.experiments.runner as runner_module
+
+        cache = tmp_path / "cold-cache"
+        want = fault_free_reports()
+        runner = make_runner(cache)
+        got = runner.run_grid(CELLS, jobs=2)
+        assert got == want
+        assert len(runner.last_grid.executed) == len(CELLS)
+
+        built = []
+        load_benchmark = runner_module.load_benchmark
+
+        def counting(name):
+            built.append(name)
+            return load_benchmark(name)
+
+        monkeypatch.setattr(runner_module, "load_benchmark", counting)
+        assert make_runner(cache).run_grid(CELLS, jobs=2) == want
+        assert built == []
+
     def test_worker_store_degradation_warns_once_in_parent(self, tmp_path):
         """One degrade warning for a whole pool of failing workers."""
         from repro.engine import store as store_module
