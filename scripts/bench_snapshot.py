@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Run the engine/throughput benches and snapshot the numbers.
 
-Executes ``benchmarks/test_bench_engine.py`` (kernel speedup, the batched
-16-point WPA sweep, the differential and pruned 256-point sweeps, warm
-store loads, cold vs warm parallel grids, warm-cache startup) with
-``$REPRO_BENCH_JSON`` pointed at a scratch file, then assembles
-``BENCH_engine.json`` at the repository root: replay events/sec per
-engine, grid wall time per engine, and the batch/differential speedups,
-plus enough environment metadata to compare snapshots across machines.
+Executes ``benchmarks/test_bench_engine.py`` (kernel speedup, the 16- and
+256-point WPA family sweeps, warm store loads, cold vs warm parallel
+grids, warm-cache startup) with ``$REPRO_BENCH_JSON`` pointed at a scratch
+file, then assembles ``BENCH_engine.json`` at the repository root: replay
+events/sec per engine, family-replay wall times and speedups, plus enough
+environment metadata to compare snapshots across machines.
 Wall times are best-of-N (``--repeats``, default 3) so the checked-in
 speedup claims aren't single-run noise; N is recorded in the snapshot's
 ``environment`` block.  The file is meant to be checked in, so the bench

@@ -351,11 +351,10 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["auto", "vector", "reference", "batch", "differential"],
-        help="replay engine (default auto or $REPRO_ENGINE; 'batch' replays "
-        "trace-sharing grid cells in one traversal, 'differential' also "
-        "shares state between adjacent sweep configs; see "
-        "docs/performance.md)",
+        choices=["fast", "reference"],
+        help="replay engine (default fast: vectorized kernels, with grid "
+        "cells sharing a trace replayed as one family; 'reference' runs "
+        "the object-model schemes; see docs/performance.md)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -422,17 +421,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             f"{DEFAULT_RESILIENCE.fallback.value})"
         ),
     )
-    parser.add_argument(
-        "--prune-static",
-        action="store_true",
-        help=(
-            "collapse sweep cells the static analysis proves "
-            "outcome-equivalent to one representative replay, "
-            "reconstructing the rest bit-identically under a certificate "
-            "(see docs/static_analysis.md); a failed certificate falls "
-            "back to unpruned execution"
-        ),
-    )
 
 
 def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
@@ -464,7 +452,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         strict=getattr(args, "strict", False),
         sanitize=getattr(args, "sanitize", False),
         resilience=_resilience_from_args(args),
-        prune=getattr(args, "prune_static", False),
     )
 
 
@@ -473,15 +460,11 @@ def _print_grid_summary(runner: ExperimentRunner) -> None:
     summary = runner.last_grid
     if summary is None or not summary.families:
         return
-    line = (
+    print(
         f"grid planner: {summary.families} family(ies) covering "
-        f"{summary.family_cells} of {summary.total} cell(s)"
+        f"{summary.family_cells} of {summary.total} cell(s)",
+        file=sys.stderr,
     )
-    if summary.pruned:
-        line += f"; {summary.pruned} cell(s) statically pruned"
-    print(line, file=sys.stderr)
-    for certificate in summary.prune_certificates:
-        print(f"  certificate {certificate}", file=sys.stderr)
 
 
 def _cmd_list_benchmarks() -> int:

@@ -1,18 +1,14 @@
 """The fast simulation engine: vectorized kernels, artifact cache, grid runner.
 
-Three layers, each usable on its own:
+Four layers, each usable on its own:
 
 * :mod:`repro.engine.kernels` — NumPy fast paths replaying a
   :class:`~repro.trace.events.LineEventTrace` with counters bit-identical to
   the reference schemes (``baseline`` and ``way-placement``);
-* :mod:`repro.engine.batch` — the batched replay kernel: one traversal of a
-  trace emitting bit-identical counters for a whole family of
-  configurations at once (the ``batch`` engine's grid planner lives in
-  :mod:`repro.engine.grid`);
-* :mod:`repro.engine.differential` — the delta-driven family tier: sweep
-  families replay with adjacent configs sharing per-set state snapshots,
-  paying per-config work only inside divergence windows (the
-  ``differential`` engine);
+* :mod:`repro.engine.family` — family replay: one traversal of a trace
+  emitting bit-identical counters for a whole family of configurations,
+  with adjacent sweep configs sharing per-set state (the grid planner
+  lives in :mod:`repro.engine.grid`);
 * :mod:`repro.engine.store` — a content-hash-keyed on-disk cache for block
   traces, profiles, and line-event traces (``REPRO_CACHE_DIR``, default
   ``.repro_cache/``), so fresh processes stop re-walking CFGs;
@@ -22,7 +18,7 @@ Three layers, each usable on its own:
   checkpoint–resume come from :mod:`repro.resilience`.
 
 See ``docs/performance.md`` for the architecture and how to choose between
-the reference and vectorized paths, and ``docs/robustness.md`` for the
+the ``fast`` and ``reference`` engines, and ``docs/robustness.md`` for the
 supervision and fault-injection story.
 """
 
@@ -35,8 +31,7 @@ from repro.engine.arrays import (
     way_hints,
     wpa_flags,
 )
-from repro.engine.batch import BatchMember, batch_counters, batchable
-from repro.engine.differential import differential_counters
+from repro.engine.family import BatchMember, batchable, family_counters
 from repro.engine.grid import BatchFamily, GridCell, plan_families, run_grid
 from repro.engine.kernels import (
     FAST_SCHEMES,
@@ -53,9 +48,8 @@ __all__ = [
     "GridCell",
     "TraceStore",
     "baseline_counters",
-    "batch_counters",
     "batchable",
-    "differential_counters",
+    "family_counters",
     "fast_counters",
     "geometry_arrays",
     "geometry_lists",

@@ -24,15 +24,15 @@ a partial grid keeps all of its finished work, and a
 results, no pickling, the right default for tests and single-benchmark
 work.
 
-Under the ``batch`` engine a second coalescing layer kicks in: the
-**planner** (:func:`plan_families`) groups the cells of a chunk into *batch
-families* — cells replaying the same line-event trace under the same cache
-geometry — and each family runs as **one** traversal of the trace via
-:func:`repro.engine.batch.batch_counters`, fanning the per-config counters
-back to the original cells in input order.  Cells the batched kernel cannot
-model (schemes without a kernel, exotic options) stay on the per-cell
-engines, and a family that fails for any reason degrades to the per-cell
-supervision ladder, so supervision semantics are unchanged.
+Under the ``fast`` engine (the default) a second coalescing layer kicks
+in: the **planner** (:func:`plan_families`) groups the cells of a chunk into
+*families* — cells replaying the same line-event trace under the same
+cache geometry — and each family runs as **one** traversal of the trace via
+:func:`repro.engine.family.family_counters`, fanning the per-config
+counters back to the original cells in input order.  Cells family replay
+cannot model (schemes without a kernel, exotic options) stay on the
+per-cell engines, and a family that fails for any reason degrades to the
+per-cell supervision ladder, so supervision semantics are unchanged.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
-from repro.engine.batch import batchable
+from repro.engine.family import batchable
 from repro.errors import SchemeError
 from repro.layout.placement import LayoutPolicy
 from repro.resilience.policy import ResilienceConfig
@@ -86,21 +86,13 @@ class BatchFamily:
     key is a function of exactly these), and the geometry fixes the set/tag
     decomposition shared by every member.  Everything else a cell varies —
     WPA size, ``same_line_skip``, page size, I-TLB entries — is a per-member
-    option of the batched kernel.
-
-    ``engine`` names the family tier the planner picked: ``"batch"`` (one
-    bitmask traversal, :func:`repro.engine.batch.batch_counters`) or
-    ``"differential"`` (delta-driven adjacent-config state sharing,
-    :func:`repro.engine.differential.differential_counters`) — the latter
-    only when the runner asked for it and the family actually sweeps a
-    threshold axis.
+    option of family replay.
     """
 
     benchmark: str
     layout_policy: LayoutPolicy
     geometry: CacheGeometry
     indices: Tuple[int, ...]
-    engine: str = "batch"
 
 
 PolicyResolver = Callable[[str, Optional[LayoutPolicy]], LayoutPolicy]
@@ -109,24 +101,16 @@ PolicyResolver = Callable[[str, Optional[LayoutPolicy]], LayoutPolicy]
 def plan_families(
     cells: Sequence[GridCell],
     resolve_policy: PolicyResolver,
-    engine: Optional[str] = None,
 ) -> Tuple[List[BatchFamily], List[int]]:
-    """Coalesce grid cells into batch families.
+    """Coalesce grid cells into families.
 
     Returns ``(families, singles)``: families of two or more batchable cells
     (indices into ``cells`` in input order), and the indices of every other
     cell — non-batchable schemes/options, invalid combinations (left for the
-    per-cell path to diagnose), and one-member groups, for which a batched
+    per-cell path to diagnose), and one-member groups, for which a family
     traversal would only add overhead.  ``resolve_policy`` maps a cell's
     ``(scheme, layout_policy)`` to the layout actually simulated (the
     runner's scheme/layout pairing).
-
-    ``engine`` is the runner's requested family tier.  Under
-    ``"differential"``, a family whose members form an adjacency chain —
-    two or more *distinct* effective WPA thresholds (a baseline member is
-    threshold 0) — is marked for delta-driven replay; a family with a
-    single effective threshold has no adjacent configs to share state
-    between, so it stays on the batch tier.
     """
     # Imported lazily: repro.sim.simulator itself imports the engine
     # package, so a module-level import here would be circular.
@@ -154,26 +138,19 @@ def plan_families(
             resolve_policy(cell.scheme, cell.layout_policy),
             cell.machine.icache,
         )
-        threshold = cell.wpa_size if cell.scheme == "way-placement" else 0
-        groups.setdefault(key, []).append((index, threshold))
+        groups.setdefault(key, []).append(index)
 
     families: List[BatchFamily] = []
-    for (benchmark, policy, geometry), entries in groups.items():
-        if len(entries) < 2:
-            singles.extend(index for index, _ in entries)
+    for (benchmark, policy, geometry), indices in groups.items():
+        if len(indices) < 2:
+            singles.extend(indices)
             continue
-        adjacency_chain = len({threshold for _, threshold in entries}) >= 2
         families.append(
             BatchFamily(
                 benchmark=benchmark,
                 layout_policy=policy,
                 geometry=geometry,
-                indices=tuple(index for index, _ in entries),
-                engine=(
-                    "differential"
-                    if engine == "differential" and adjacency_chain
-                    else "batch"
-                ),
+                indices=tuple(indices),
             )
         )
     singles.sort()

@@ -74,11 +74,6 @@ def _check_tlb(itlb_entries: int, page_size: int, wpa_size: int) -> None:
         )
 
 
-# Backwards-compatible alias: the TLB state machine now lives (memoised per
-# trace) in repro.engine.arrays so every cell of a sweep shares the count.
-_itlb_misses = itlb_misses
-
-
 def baseline_counters(
     events: LineEventTrace,
     geometry: CacheGeometry,

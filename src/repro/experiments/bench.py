@@ -2,17 +2,14 @@
 
 Compares a freshly generated snapshot (``scripts/bench_snapshot.py
 --output bench_ci.json``) against the committed ``BENCH_engine.json``
-baseline.  The guarded metrics are the engine tiers' headline speedups —
+baseline.  The guarded metrics are family replay's headline speedups —
 ratios of two wall times measured in the same process, so they are far
 more stable across runner hardware than the raw walls:
 
-* ``grid.wpa_sweep_16.batch_speedup`` — batched vs per-cell replay;
-* ``grid.wpa_sweep_256.differential_speedup`` — delta-driven vs batched
-  replay;
-* ``grid.wpa_sweep_256_pruned.pruned_fraction`` — the share of the
-  256-point sweep the static pruning certificate collapses.  Not a wall
-  time at all: the certificate is derived purely from the layout, so the
-  fraction is deterministic and any drop means the analysis got weaker.
+* ``grid.wpa_sweep_16.family_speedup`` — a 16-point WPA sweep through
+  ``run_grid`` (one family traversal) vs a per-cell ``report`` loop;
+* ``grid.wpa_sweep_256.family_speedup`` — a 256-point sweep's family
+  counters vs one per-config kernel call per member.
 
 A guarded speedup may drift or improve freely; dropping more than the
 tolerance (default 20%) below the baseline fails the gate.  A metric
@@ -57,9 +54,8 @@ DEFAULT_TOLERANCE = 0.20
 
 #: (metric name, ratio field) pairs the gate guards.
 GUARDED: Tuple[Tuple[str, str], ...] = (
-    ("grid.wpa_sweep_16", "batch_speedup"),
-    ("grid.wpa_sweep_256", "differential_speedup"),
-    ("grid.wpa_sweep_256_pruned", "pruned_fraction"),
+    ("grid.wpa_sweep_16", "family_speedup"),
+    ("grid.wpa_sweep_256", "family_speedup"),
 )
 
 

@@ -37,18 +37,15 @@ processes chunked by benchmark (see :mod:`repro.engine.grid`).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
-    from repro.analysis.absint.prune import PruneCertificate
     from repro.cache.geometry import CacheGeometry
 
 from repro.energy.params import EnergyParams
-from repro.engine.batch import BatchMember, batch_counters
-from repro.engine.differential import differential_counters
+from repro.engine.family import BatchMember, family_counters
 from repro.engine.grid import GridCell, run_grid
 from repro.engine.store import TraceStore, layout_digest, program_digest
 from repro.errors import ExperimentError
@@ -103,7 +100,6 @@ class ExperimentRunner:
         strict: bool = False,
         sanitize: bool = False,
         resilience: Optional[ResilienceConfig] = None,
-        prune: bool = False,
     ):
         self.eval_instructions = (
             eval_instructions
@@ -124,9 +120,6 @@ class ExperimentRunner:
         self.engine = engine
         self.strict = strict
         self.sanitize = sanitize
-        #: Collapse statically-equivalent sweep cells before replaying
-        #: (see :mod:`repro.analysis.absint.prune`).
-        self.prune = prune
         self.resilience = resilience.validate() if resilience is not None else None
         #: Structured outcome of the most recent :meth:`run_grid` call.
         self.last_failures: List[FailureReport] = []
@@ -138,7 +131,6 @@ class ExperimentRunner:
         self._block_traces: Dict[str, BlockTrace] = {}
         self._events: Dict[Tuple[str, LayoutPolicy, int], LineEventTrace] = {}
         self._mem_fractions: Dict[str, float] = {}
-        self._line_starts: Dict[Tuple[str, LayoutPolicy, int], Tuple[int, ...]] = {}
         self._reports: Dict[tuple, SimulationReport] = {}
         self._digests: Dict[str, str] = {}
         self._preflighted: set = set()
@@ -258,28 +250,6 @@ class ExperimentRunner:
             )
         return self._mem_fractions[benchmark]
 
-    def line_starts(
-        self, benchmark: str, policy: LayoutPolicy, line_size: int
-    ) -> Tuple[int, ...]:
-        """Sorted distinct line-start addresses the resolved layout covers.
-
-        A superset of the lines any trace over this layout can touch, so
-        the static sweep-pruning certificates built from it are sound for
-        every replay (see :mod:`repro.analysis.absint.prune`).
-        """
-        from repro.analysis.absint.prune import layout_line_starts
-
-        key = (benchmark, policy, line_size)
-        if key not in self._line_starts:
-            layout = self.layout(benchmark, policy)
-            uids = layout.block_order
-            self._line_starts[key] = layout_line_starts(
-                {uid: layout.address_of(uid) for uid in uids},
-                {uid: layout.size_of(uid) for uid in uids},
-                line_size,
-            )
-        return self._line_starts[key]
-
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -373,47 +343,30 @@ class ExperimentRunner:
             )
         return self._reports[key]
 
-    def report_family(
-        self, cells: Sequence[GridCell], engine: Optional[str] = None
-    ) -> List[SimulationReport]:
-        """Simulate a batch family of cells with **one** trace traversal.
+    def report_family(self, cells: Sequence[GridCell]) -> List[SimulationReport]:
+        """Simulate a family of cells with **one** trace traversal.
 
         Every cell must share the family key — benchmark, resolved layout
         policy, cache geometry — so they replay the same line-event trace
         over the same set/tag decomposition (the planner,
         :func:`~repro.engine.grid.plan_families`, guarantees this; direct
         callers get an :class:`~repro.errors.ExperimentError` otherwise).
-        Counters come from :func:`~repro.engine.batch.batch_counters`, or
-        from :func:`~repro.engine.differential.differential_counters` when
-        ``engine="differential"`` — either way bit-identical to the
-        per-cell engines; each member is then priced, sanitized, and
-        memoised exactly as :meth:`report` would.  Reports return in cell
-        order.
+        Counters come from :func:`~repro.engine.family.family_counters`,
+        bit-identical to the per-cell engines; each member is then priced,
+        sanitized, and memoised exactly as :meth:`report` would.  Reports
+        return in cell order.
         """
-        if engine not in (None, "batch", "differential"):
-            raise ExperimentError(
-                f"report_family runs on the 'batch' or 'differential' family "
-                f"tiers, not {engine!r}"
-            )
         if not cells:
             return []
         first = cells[0]
         policy, geometry, members = self._family_members(cells)
 
         events = self.events(first.benchmark, policy, geometry.line_size)
-        # Chaos hooks: "family" covers every family-tier replay (both
-        # engines), "differential" only the delta-driven tier — so the
-        # fault-injection harness can exercise each rung of the
-        # differential -> batch -> per-cell ladder independently (no-ops
+        # Chaos hook: lets the fault-injection harness fail a family replay
+        # and prove the supervisor degrades it to per-cell replay (no-op
         # unless chaos is active).
-        token = f"{first.benchmark}:{policy.value}:{len(cells)}"
-        if engine == "differential":
-            chaos_point("differential", token)
-            chaos_point("family", token)
-            counters_list = differential_counters(events, geometry, members)
-        else:
-            chaos_point("family", token)
-            counters_list = batch_counters(events, geometry, members)
+        chaos_point("family", f"{first.benchmark}:{policy.value}:{len(cells)}")
+        counters_list = family_counters(events, geometry, members)
 
         layout_description = self.layout(first.benchmark, policy).description
         mem_fraction = self.mem_fraction(first.benchmark)
@@ -451,7 +404,7 @@ class ExperimentRunner:
     def _family_members(
         self, cells: Sequence[GridCell]
     ) -> Tuple[LayoutPolicy, "CacheGeometry", List[BatchMember]]:
-        """Validate a family's shared key and build its batch members."""
+        """Validate a family's shared key and build its members."""
         first = cells[0]
         policy = self._resolve_layout_policy(first.scheme, first.layout_policy)
         geometry = first.machine.icache
@@ -482,79 +435,6 @@ class ExperimentRunner:
                 )
             )
         return policy, geometry, members
-
-    def report_family_pruned(
-        self, cells: Sequence[GridCell], engine: Optional[str] = None
-    ) -> Tuple[List[SimulationReport], Optional["PruneCertificate"]]:
-        """:meth:`report_family` behind a static sweep-pruning certificate.
-
-        Plans a :class:`~repro.analysis.absint.prune.PruneCertificate` over
-        the family: members whose configurations are statically proven
-        outcome-equivalent (their WPA thresholds cut the layout's line
-        addresses at the same place) collapse to one representative, only
-        representatives replay, and pruned cells are reconstructed from
-        their representative's counters — bit-identical by construction —
-        then re-priced with their own metadata.  Returns the reports in
-        cell order plus the certificate applied (``None`` when nothing was
-        prunable).  The certificate is re-validated before use; a mismatch
-        raises so the supervisor's degradation ladder can fall back to
-        unpruned execution.
-        """
-        from repro.analysis.absint.prune import plan_prune
-
-        if not cells:
-            return [], None
-        first = cells[0]
-        policy, geometry, members = self._family_members(cells)
-        # Chaos site "prune" lets the fault-injection harness knock this
-        # rung out and prove the supervisor degrades to unpruned replay.
-        token = f"{first.benchmark}:{policy.value}:{len(cells)}"
-        chaos_point("prune", token)
-        line_starts = self.line_starts(first.benchmark, policy, geometry.line_size)
-        certificate = plan_prune(line_starts, members)
-        if certificate is None:
-            return self.report_family(cells, engine=engine), None
-        if not certificate.validate(members):
-            raise ExperimentError(
-                f"prune certificate no longer matches family {token}"
-            )
-        representatives = certificate.representatives
-        rep_reports = self.report_family(
-            [cells[index] for index in representatives], engine=engine
-        )
-        report_of = dict(zip(representatives, rep_reports))
-        reports = []
-        for index, cell in enumerate(cells):
-            source_index = certificate.clone_of[index]
-            if source_index == index:
-                reports.append(report_of[index])
-            else:
-                reports.append(self._pruned_report(cell, report_of[source_index]))
-        return reports, certificate
-
-    def _pruned_report(
-        self, cell: GridCell, source: SimulationReport
-    ) -> SimulationReport:
-        """Reconstruct a pruned cell from its representative's counters."""
-        counters = dataclasses.replace(source.counters)
-        simulator = Simulator(
-            cell.machine,
-            self.energy_params,
-            self.organisation,
-            engine=self.engine,
-            sanitize=self.sanitize,
-        )
-        report = simulator.price(
-            counters,
-            cell.scheme,
-            benchmark=cell.benchmark,
-            layout_description=source.layout_description,
-            wpa_size=cell.wpa_size,
-            l0_size=cell.l0_size,
-            mem_fraction=self.mem_fraction(cell.benchmark),
-        )
-        self.adopt_report(cell, report)
-        return report
 
     def normalised(
         self,
@@ -641,7 +521,6 @@ class ExperimentRunner:
             "engine": self.engine,
             "strict": self.strict,
             "sanitize": self.sanitize,
-            "prune": self.prune,
         }
 
     def run_grid(

@@ -15,13 +15,8 @@ site           where it fires
 ``worker``       a grid worker process's entry point (key ``bench@attempt``)
 ``kernel``       the vectorized fast path in ``Simulator.run_events``
 ``cell``         one supervised cell simulation (parent or worker)
-``family``       a family-tier replay in ``ExperimentRunner.report_family``
-``differential``  the delta-driven family tier specifically (fires before
-                 ``family`` on the same replay, so each rung of the
-                 differential → batch → per-cell ladder is addressable)
-``prune``        applying a static sweep-pruning certificate in
-                 ``ExperimentRunner.report_family_pruned`` (the topmost
-                 ladder rung; recovery is unpruned family execution)
+``family``       a family replay in ``ExperimentRunner.report_family``
+                 (recovery is per-cell replay of its members)
 =============  ==========================================================
 
 Faults model the real failure surface: ``crash`` (the process dies with
@@ -75,8 +70,6 @@ _SITES = frozenset(
         "kernel",
         "cell",
         "family",
-        "differential",
-        "prune",
     }
 )
 _FAULTS = frozenset(

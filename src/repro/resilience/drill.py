@@ -5,8 +5,8 @@ supervised parallel grid under it, and checks the acceptance bar of
 docs/robustness.md: results bit-identical to a fault-free serial run,
 with every injected incident recovered.  The schedule covers every
 recovery rung of the local worker pool at once: worker crashes and hangs,
-kernel sanitizer trips, probabilistic cell faults, and a full disk and a
-torn write mid-cache-write.
+a failed family replay, kernel sanitizer trips, probabilistic cell faults,
+and a full disk and a torn write mid-cache-write.
 
 :func:`run_drill` runs one seeded drill and returns a summary dict;
 :func:`run_matrix` sweeps a seed matrix and aggregates.  Given the same
@@ -38,12 +38,16 @@ _PROFILE_INSTRUCTIONS = 4_000
 
 
 def drill_cells() -> List[GridCell]:
-    """The standard drill grid: two benchmarks, baseline + way-placement."""
+    """The standard drill grid: two benchmarks, baseline + a two-point WPA
+    sweep each, so every chunk replays one family."""
     return [
-        GridCell("crc", "baseline"),
-        GridCell("crc", "way-placement", wpa_size=8 * KB),
-        GridCell("sha", "baseline"),
-        GridCell("sha", "way-placement", wpa_size=8 * KB),
+        GridCell(bench, scheme, wpa_size=wpa)
+        for bench in ("crc", "sha")
+        for scheme, wpa in (
+            ("baseline", 0),
+            ("way-placement", 4 * KB),
+            ("way-placement", 8 * KB),
+        )
     ]
 
 
@@ -63,6 +67,9 @@ def build_rules(seed: int) -> Tuple[ChaosRule, ...]:
     return (
         ChaosRule("worker", "crash", match=f"{crash_bench}@1", times=1),
         ChaosRule("worker", "hang", match=f"{hang_bench}@1", times=1, delay_s=60.0),
+        # The crashed benchmark's family fails too, so its way-placement
+        # cells fall to per-cell replay, where the kernel trips the sanitizer.
+        ChaosRule("family", "raise", match=crash_bench, times=1),
         ChaosRule("kernel", "sanitizer", match="way-placement", times=1),
         ChaosRule("cell", "raise", times=-1, probability=0.2),
         ChaosRule("store.save", "enospc", times=1),

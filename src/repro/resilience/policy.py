@@ -167,13 +167,12 @@ class FailureReport:
     """One supervised incident: what failed, how often, and the recovery.
 
     ``site`` is where the incident happened (``"cell"`` for one simulation,
-    ``"worker"`` for a whole benchmark chunk's process, ``"prune"`` /
-    ``"differential"`` / ``"family"`` for the family-tier rungs).
-    ``causes`` holds the exception cause chains of every failed attempt,
-    oldest first.  ``recovery`` names the ladder rung that finally
-    succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``,
-    ``in-process``, or the family-tier rungs (``unpruned``, ``batch``,
-    ``per-cell``) — or ``none`` when the incident was not recovered.
+    ``"worker"`` for a whole benchmark chunk's process, ``"family"`` for a
+    family replay).  ``causes`` holds the exception cause chains of every
+    failed attempt, oldest first.  ``recovery`` names the ladder rung that
+    finally succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``,
+    ``in-process``, or ``per-cell`` for a failed family — or ``none`` when
+    the incident was not recovered.
     """
 
     site: str

@@ -87,14 +87,11 @@ class GridSummary:
     executed: Tuple[str, ...]
     failed: Tuple[str, ...]
     failures: Tuple[FailureReport, ...]
-    #: Planner decisions: batch families formed, the cells they covered,
-    #: cells collapsed by static pruning certificates, and one compact
-    #: descriptor per certificate applied.  Counts include retried chunk
-    #: attempts (they describe planner activity, not distinct cells).
+    #: Planner decisions: families formed and the cells they covered.
+    #: Counts include retried chunk attempts (they describe planner
+    #: activity, not distinct cells).
     families: int = 0
     family_cells: int = 0
-    pruned: int = 0
-    prune_certificates: Tuple[str, ...] = ()
     #: The largest memory growth of any worker process over its at-spawn
     #: baseline (KB; proportional set size on Linux, so shared trace pages
     #: are billed fractionally).
@@ -110,8 +107,6 @@ def _new_stats() -> Dict[str, Any]:
     return {
         "families": 0,
         "family_cells": 0,
-        "pruned": 0,
-        "certificates": [],
         "peak_rss_kb": 0,
         "store_degraded": None,
     }
@@ -150,8 +145,6 @@ def _peak_rss_kb() -> int:
 def _merge_stats(into: Dict[str, Any], other: Dict[str, Any]) -> None:
     into["families"] += other["families"]
     into["family_cells"] += other["family_cells"]
-    into["pruned"] += other["pruned"]
-    into["certificates"].extend(other["certificates"])
     into["peak_rss_kb"] = max(into["peak_rss_kb"], other["peak_rss_kb"])
     degraded = other["store_degraded"]
     if degraded:
@@ -244,25 +237,23 @@ def run_cell(
 
 
 # ---------------------------------------------------------------------------
-# Chunk execution: batch families first, then the per-cell ladder
+# Chunk execution: families first, then the per-cell ladder
 # ---------------------------------------------------------------------------
-def _family_engine(runner: Any) -> Optional[str]:
-    """The family tier this chunk should plan for, or ``None`` for per-cell.
+def _plans_families(runner: Any) -> bool:
+    """Does this chunk replay families?
 
-    ``"batch"`` or ``"differential"`` when the runner's engine resolves to
-    that tier and the runner can actually execute a family.  An invalid
-    engine name returns ``None`` so the per-cell path surfaces the proper
-    error.
+    Yes when the runner's engine resolves to ``fast`` and the runner can
+    execute a family.  An invalid engine name answers no, so the per-cell
+    path surfaces the proper error.
     """
     if not hasattr(runner, "report_family"):
-        return None
+        return False
     try:
         from repro.sim.simulator import resolve_engine
 
-        engine = resolve_engine(getattr(runner, "engine", None))
+        return resolve_engine(getattr(runner, "engine", None)) == "fast"
     except Exception:
-        return None
-    return engine if engine in ("batch", "differential") else None
+        return False
 
 
 def run_cells(
@@ -274,105 +265,49 @@ def run_cells(
     fail: Callable[[int, BaseException], None],
     stats: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Simulate a chunk of cells, batching trace-sharing families.
+    """Simulate a chunk of cells, replaying trace-sharing families at once.
 
     ``emit(index, report)`` is called for every completed cell and
     ``fail(index, error)`` for every cell that exhausted the ladder, both
-    with indices into ``cells``.  Under the ``batch`` and ``differential``
-    engines, cells are first coalesced into families
-    (:func:`repro.engine.grid.plan_families`) and each family replays with
-    one trace traversal; a family that fails for *any* reason — sanitizer
-    trip, kernel bug, injected fault — records a recovered
-    :class:`FailureReport` and degrades one rung: a pruned family re-runs
-    unpruned, a differential family re-runs as a plain batch family, and a
-    batch family's members fall to the per-cell retry/backoff/engine-
-    fallback ladder of :func:`run_cell`.  Batching never weakens
-    supervision.
-
-    When the runner was built with ``prune=True``, each family first runs
-    through :meth:`ExperimentRunner.report_family_pruned`, which collapses
-    statically outcome-equivalent cells to one representative under a
-    certificate (see :mod:`repro.analysis.absint.prune`).  ``stats``, when
-    given, accumulates the planner decisions (families, cells covered,
-    cells pruned, certificates) for :class:`GridSummary`.
+    with indices into ``cells``.  Under the ``fast`` engine, cells are
+    first coalesced into families (:func:`repro.engine.grid.plan_families`)
+    and each family replays with one trace traversal; a family that fails
+    for *any* reason — sanitizer trip, kernel bug, injected fault —
+    records a recovered :class:`FailureReport` and its members fall to the
+    per-cell retry/backoff/engine-fallback ladder of :func:`run_cell`.
+    Families never weaken supervision.  ``stats``, when given, accumulates
+    the planner decisions (families, cells covered) for
+    :class:`GridSummary`.
     """
     singles = list(range(len(cells)))
-    family_engine = _family_engine(runner)
-    if len(cells) > 1 and family_engine is not None:
+    if len(cells) > 1 and _plans_families(runner):
         from repro.engine.grid import plan_families
 
-        families, singles = plan_families(
-            cells, runner._resolve_layout_policy, engine=family_engine
-        )
-        use_prune = bool(getattr(runner, "prune", False)) and hasattr(
-            runner, "report_family_pruned"
-        )
+        families, singles = plan_families(cells, runner._resolve_layout_policy)
         for family in families:
             members = [cells[index] for index in family.indices]
-            token = (
-                f"{family.benchmark}:{family.layout_policy.value}"
-                f":{len(members)}-cell family"
-            )
             if stats is not None:
                 stats["families"] += 1
                 stats["family_cells"] += len(members)
-            reports: Optional[List[SimulationReport]] = None
-            if use_prune:
-                try:
-                    reports, certificate = runner.report_family_pruned(
-                        members, engine=family.engine
+            try:
+                reports = runner.report_family(members)
+            except Exception as error:
+                failures.append(
+                    FailureReport(
+                        site="family",
+                        benchmark=family.benchmark,
+                        cell=(
+                            f"{family.benchmark}:{family.layout_policy.value}"
+                            f":{len(members)}-cell family"
+                        ),
+                        attempts=1,
+                        causes=tuple(cause_chain(error)),
+                        recovery="per-cell",
+                        recovered=True,
                     )
-                except Exception as error:
-                    failures.append(
-                        FailureReport(
-                            site="prune",
-                            benchmark=family.benchmark,
-                            cell=token,
-                            attempts=1,
-                            causes=tuple(cause_chain(error)),
-                            recovery="unpruned",
-                            recovered=True,
-                        )
-                    )
-                else:
-                    if certificate is not None and stats is not None:
-                        stats["pruned"] += certificate.pruned
-                        stats["certificates"].append(
-                            f"{family.benchmark}:{family.layout_policy.value}:"
-                            f"{certificate.pruned}/{certificate.total} pruned"
-                        )
-            if reports is None and family.engine == "differential":
-                try:
-                    reports = runner.report_family(members, engine="differential")
-                except Exception as error:
-                    failures.append(
-                        FailureReport(
-                            site="differential",
-                            benchmark=family.benchmark,
-                            cell=token,
-                            attempts=1,
-                            causes=tuple(cause_chain(error)),
-                            recovery="batch",
-                            recovered=True,
-                        )
-                    )
-            if reports is None:
-                try:
-                    reports = runner.report_family(members, engine="batch")
-                except Exception as error:
-                    failures.append(
-                        FailureReport(
-                            site="family",
-                            benchmark=family.benchmark,
-                            cell=token,
-                            attempts=1,
-                            causes=tuple(cause_chain(error)),
-                            recovery="per-cell",
-                            recovered=True,
-                        )
-                    )
-                    singles.extend(family.indices)
-                    continue
+                )
+                singles.extend(family.indices)
+                continue
             for index, report in zip(family.indices, reports):
                 emit(index, report)
         singles.sort()
@@ -774,8 +709,6 @@ def supervise_grid(
         failures=tuple(failures),
         families=stats["families"],
         family_cells=stats["family_cells"],
-        pruned=stats["pruned"],
-        prune_certificates=tuple(stats["certificates"]),
         peak_worker_rss_kb=stats["peak_rss_kb"],
     )
     if failed:

@@ -11,7 +11,6 @@ calls ``run_events`` directly.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.energy.cache_model import CacheEnergyModel
@@ -33,31 +32,23 @@ from repro.trace.fetch import line_events_from_block_trace
 
 __all__ = ["Simulator", "resolve_engine", "scheme_options", "simulate"]
 
-#: Replay engine choices: ``auto`` uses a vectorized kernel when one exists
-#: and falls back to the reference scheme; ``vector`` demands the kernel
-#: (raising when there is none); ``reference`` always runs the pure-Python
-#: scheme objects; ``batch`` behaves like ``auto`` for a single replay but
-#: additionally lets the grid planner coalesce cells sharing a trace into
-#: one batched traversal (see :mod:`repro.engine.batch`); ``differential``
-#: extends ``batch`` by replaying threshold-sweep families with
-#: delta-driven adjacent-config state sharing
-#: (see :mod:`repro.engine.differential`).
-_ENGINES = ("auto", "vector", "reference", "batch", "differential")
+#: Replay engine choices: ``fast`` (the default) uses a vectorized kernel
+#: where one exists and the reference scheme otherwise, and lets the grid
+#: planner replay cells sharing a trace as one family (see
+#: :mod:`repro.engine.family`); ``reference`` always runs the pure-Python
+#: scheme objects, the oracle every fast path is checked against.
+_ENGINES = ("fast", "reference")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name, defaulting to ``$REPRO_ENGINE`` then ``auto``."""
+    """Validate an engine name, defaulting to ``fast``."""
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "auto")
+        return "fast"
     if engine not in _ENGINES:
         raise SchemeError(
             f"unknown replay engine {engine!r}; choose from {', '.join(_ENGINES)}"
         )
     return engine
-
-
-# Backwards-compatible alias (pre-batch-engine name).
-_resolve_engine = resolve_engine
 
 
 def scheme_options(
@@ -71,9 +62,9 @@ def scheme_options(
     """The validated option dict a scheme constructor/kernel takes.
 
     This is the single place the (machine, cell) -> scheme-options mapping
-    lives: ``Simulator.run_events`` uses it per replay and the batch planner
-    uses it to decide family membership (an option set the batched kernel
-    does not model keeps the cell on the per-cell engines).
+    lives: ``Simulator.run_events`` uses it per replay and the family
+    planner uses it to decide family membership (an option set family
+    replay does not model keeps the cell on the per-cell engines).
     """
     options: dict = {
         "itlb_entries": machine.itlb_entries,
@@ -161,11 +152,6 @@ class Simulator:
                     scheme,
                 )
         if counters is None:
-            if self.engine == "vector":
-                raise SchemeError(
-                    f"scheme {scheme!r} with options {sorted(options)} has no "
-                    "vectorized kernel; use engine='auto' or 'reference'"
-                )
             fetch_scheme = make_scheme(scheme, machine.icache, **options)
             if self.sanitize:
                 from repro.verify.sanitizer import SanitizerHook
@@ -196,9 +182,9 @@ class Simulator:
     ) -> SimulationReport:
         """Price already-computed counters into a :class:`SimulationReport`.
 
-        The pricing tail of :meth:`run_events`, factored out so the batched
-        replay path (:mod:`repro.engine.batch`, which produces counters for
-        a whole family at once) shares the energy/cycle models and the
+        The pricing tail of :meth:`run_events`, factored out so family
+        replay (:mod:`repro.engine.family`, which produces counters for a
+        whole family at once) shares the energy/cycle models and the
         sanitizer's energy cross-check with the per-cell paths.
         """
         machine = self.machine

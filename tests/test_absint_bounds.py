@@ -2,10 +2,10 @@
 
 :func:`repro.analysis.absint.bounds.footprint_bounds` claims that for
 any replay of a given event stream, every :class:`FetchCounters` field
-lies in ``[lower, upper]``.  The claim is checked against all four
-engine tiers — the reference schemes, the vectorized kernels, the
-batched family kernel, and the differential family kernel — on
-Hypothesis-generated streams over an adversarial option grid, plus:
+lies in ``[lower, upper]``.  The claim is checked against all three
+engine tiers — the reference schemes, the vectorized kernels, and family
+replay — on Hypothesis-generated streams over an adversarial option
+grid, plus:
 
 * **exactness** on structurally eviction-free (budget-one) streams,
   where the interval must collapse to a point;
@@ -27,12 +27,11 @@ from hypothesis import given, settings
 from repro.cache.access import FetchCounters
 from repro.energy.cache_model import CacheEnergyModel
 from repro.energy.params import EnergyParams
-from repro.engine.batch import BatchMember, batch_counters
-from repro.engine.differential import differential_counters
+from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters
 from repro.analysis.absint import bounds_for_options, energy_bounds, footprint_bounds
 from tests.scheme_helpers import TINY_GEOMETRY, events_from
-from tests.test_engine_batch import MIXED_FAMILY, reference_counters
+from tests.test_engine_family import MIXED_FAMILY, reference_counters
 from tests.test_schemes_equivalence import event_streams
 
 
@@ -67,14 +66,12 @@ class TestBracketing:
 
     @given(event_streams())
     @settings(max_examples=50, deadline=None)
-    def test_batch_and_differential_tiers(self, specs):
+    def test_family_tier(self, specs):
         events = events_from(specs)
-        batched = batch_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
-        differential = differential_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
-        for member, batch, diff in zip(MIXED_FAMILY, batched, differential):
+        family = family_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
+        for member, counters in zip(MIXED_FAMILY, family):
             bounds = bounds_for(member, events)
-            assert_bracketed(bounds, batch, f"batch {member}")
-            assert_bracketed(bounds, diff, f"differential {member}")
+            assert_bracketed(bounds, counters, f"family {member}")
 
     @given(event_streams())
     @settings(max_examples=50, deadline=None)

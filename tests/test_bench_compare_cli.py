@@ -26,9 +26,8 @@ from repro.experiments.bench import (
 def _metrics(**overrides):
     """A full metrics block with every guarded field present."""
     base = {
-        "grid.wpa_sweep_16": {"batch_speedup": 4.0},
-        "grid.wpa_sweep_256": {"differential_speedup": 10.0},
-        "grid.wpa_sweep_256_pruned": {"pruned_fraction": 0.9},
+        "grid.wpa_sweep_16": {"family_speedup": 4.0},
+        "grid.wpa_sweep_256": {"family_speedup": 10.0},
     }
     for metric, fields in overrides.items():
         base[metric] = fields
@@ -45,21 +44,21 @@ class TestCompareSnapshots:
     def test_improvement_and_small_drift_pass(self):
         current = _metrics(
             **{
-                "grid.wpa_sweep_16": {"batch_speedup": 9.0},
-                "grid.wpa_sweep_256": {"differential_speedup": 8.5},
+                "grid.wpa_sweep_16": {"family_speedup": 9.0},
+                "grid.wpa_sweep_256": {"family_speedup": 8.5},
             }
         )
         assert compare_snapshots(current, _metrics(), tolerance=0.20).ok
 
     def test_drop_beyond_tolerance_fails(self):
-        current = _metrics(**{"grid.wpa_sweep_16": {"batch_speedup": 3.0}})
+        current = _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 3.0}})
         comparison = compare_snapshots(current, _metrics(), tolerance=0.20)
         assert not comparison.ok
         assert any("grid.wpa_sweep_16" in failure for failure in comparison.failures)
         assert "FAILED" in comparison.render()
 
     def test_drop_at_the_floor_passes(self):
-        current = _metrics(**{"grid.wpa_sweep_16": {"batch_speedup": 3.2}})
+        current = _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 3.2}})
         assert compare_snapshots(current, _metrics(), tolerance=0.20).ok
 
     def test_metric_missing_from_current_fails(self):
@@ -71,7 +70,7 @@ class TestCompareSnapshots:
 
     def test_metric_missing_from_baseline_is_skipped(self):
         baseline = _metrics()
-        del baseline["grid.wpa_sweep_256_pruned"]
+        del baseline["grid.wpa_sweep_256"]
         comparison = compare_snapshots(_metrics(), baseline)
         assert comparison.ok
         assert any(v.status == "SKIP" for v in comparison.verdicts)
@@ -128,7 +127,7 @@ class TestCli:
         current = _snapshot(
             tmp_path,
             "current.json",
-            _metrics(**{"grid.wpa_sweep_16": {"batch_speedup": 1.0}}),
+            _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 1.0}}),
         )
         baseline = _snapshot(tmp_path, "baseline.json", _metrics())
         assert main(["bench", "compare", current, "--baseline", baseline]) == 1
@@ -138,7 +137,7 @@ class TestCli:
         current = _snapshot(
             tmp_path,
             "current.json",
-            _metrics(**{"grid.wpa_sweep_16": {"batch_speedup": 3.9}}),
+            _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 3.9}}),
         )
         baseline = _snapshot(tmp_path, "baseline.json", _metrics())
         argv = ["bench", "compare", current, "--baseline", baseline]

@@ -1,21 +1,26 @@
-"""Batched replay equivalence: one traversal, bit-identical per member.
+"""Family replay equivalence: one traversal, bit-identical per member.
 
-The batched kernel (:mod:`repro.engine.batch`) is only allowed to exist
-because it is indistinguishable from the engines it accelerates.  This
-suite pins that down three ways:
+Family replay (:mod:`repro.engine.family`) evolves interval-shared per-set
+state snapshots over a threshold-sorted sweep, splitting at
+threshold-straddling misses and merging on reconvergence, and answers the
+sweep reductions from per-trace sorted aggregates.  None of that is
+allowed to change a number.  This suite pins it down three ways:
 
-* **kernel equivalence** — for mixed families (a WPA sweep, baseline and
-  way-placement together, ``same_line_skip`` on and off, divergent I-TLB
-  shapes), every :class:`~repro.cache.access.FetchCounters` field from
-  ``batch_counters`` equals the per-config kernel *and* the reference
-  scheme, on Hypothesis-generated and large seeded streams;
+* **kernel equivalence** — for mixed families (baseline and way-placement
+  together, duplicate and non-contiguous thresholds, ``same_line_skip`` on
+  and off, divergent I-TLB shapes, degenerate 1-config families), every
+  :class:`~repro.cache.access.FetchCounters` field from ``family_counters``
+  equals the per-config kernel *and* the reference scheme, on
+  Hypothesis-generated and large seeded streams — including a
+  direct-mapped geometry where every split must reconverge through
+  eviction cascades;
 * **planner behaviour** — :func:`~repro.engine.grid.plan_families` groups
   exactly the cells sharing (benchmark, resolved layout policy, geometry),
   and leaves non-batchable, invalid, and lone cells on the per-cell path;
-* **supervision** — a chaos fault injected at the new ``family`` site
-  degrades the family to per-cell replay with a recovered
-  :class:`~repro.resilience.policy.FailureReport`, and the grid results
-  stay bit-identical to the reference engine.
+* **grid execution and supervision** — a default runner plans families
+  and stays bit-identical to the reference engine, and a chaos fault at
+  the ``family`` site degrades the family to per-cell replay with a
+  recovered :class:`~repro.resilience.policy.FailureReport`.
 """
 
 import dataclasses
@@ -25,7 +30,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cache.access import FetchCounters
-from repro.engine.batch import BatchMember, batch_counters, batchable
+from repro.cache.geometry import CacheGeometry
+from repro.engine.family import BatchMember, batchable, family_counters
 from repro.engine.grid import GridCell, plan_families
 from repro.engine.kernels import fast_counters
 from repro.errors import ExperimentError, SchemeError
@@ -66,10 +72,27 @@ MIXED_FAMILY = [
     BatchMember("way-placement", {"wpa_size": 64, "page_size": 16}),
 ]
 
+#: Non-contiguous thresholds: gaps, duplicates, and points beyond the
+#: 40-line stream extent, so some adjacent pairs never see a delta event
+#: and others straddle almost every address.
+SPARSE_SWEEP = [
+    BatchMember("way-placement", {"wpa_size": 32, "page_size": 16}),
+    BatchMember("way-placement", {"wpa_size": 640, "page_size": 16}),
+    BatchMember("baseline", {"page_size": 16}),
+    BatchMember("way-placement", {"wpa_size": 64, "page_size": 16}),
+    BatchMember("way-placement", {"wpa_size": 64, "page_size": 16}),
+    BatchMember("way-placement", {"wpa_size": 4096, "page_size": 16}),
+]
 
-def reference_counters(member, events):
+#: A direct-mapped variant: with one way per set, every fill evicts, so a
+#: split run reconverges on the very next shared fill — the merge path
+#: runs constantly instead of rarely.
+DIRECT_MAPPED = CacheGeometry(64, 1, 16)
+
+
+def reference_counters(member, events, geometry=TINY_GEOMETRY):
     cls = BaselineScheme if member.scheme == "baseline" else WayPlacementScheme
-    return cls(TINY_GEOMETRY, **dict(member.options)).run(events)
+    return cls(geometry, **dict(member.options)).run(events)
 
 
 def assert_identical(actual, expected, member):
@@ -80,62 +103,65 @@ def assert_identical(actual, expected, member):
         )
 
 
+def assert_family_agrees(events, geometry, members):
+    """Each member's family counters equal its kernel and reference scheme."""
+    results = family_counters(events, geometry, members)
+    assert len(results) == len(members)
+    for member, counters in zip(members, results):
+        kernel = fast_counters(member.scheme, events, geometry, **dict(member.options))
+        assert_identical(counters, kernel, member)
+        assert_identical(counters, reference_counters(member, events, geometry), member)
+
+
+def seeded_stream(seed):
+    """600 events over 120 lines with no adjacent repeats."""
+    rng = random.Random(seed)
+    specs = []
+    previous = None
+    for _ in range(600):
+        line = rng.randrange(120)
+        if line == previous:
+            line = (line + 1) % 120
+        previous = line
+        specs.append(
+            (
+                line * 16,
+                rng.randint(1, 8),
+                rng.choice([SEQUENTIAL_SLOT, 0, 1, 2, 3]),
+            )
+        )
+    return events_from(specs)
+
+
 class TestKernelEquivalence:
     @given(event_streams())
     @settings(max_examples=60, deadline=None)
     def test_mixed_family_matches_kernels_and_reference(self, specs):
-        events = events_from(specs)
-        batched = batch_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
-        assert len(batched) == len(MIXED_FAMILY)
-        for member, counters in zip(MIXED_FAMILY, batched):
-            kernel = fast_counters(
-                member.scheme, events, TINY_GEOMETRY, **dict(member.options)
-            )
-            assert_identical(counters, kernel, member)
-            assert_identical(counters, reference_counters(member, events), member)
+        assert_family_agrees(events_from(specs), TINY_GEOMETRY, MIXED_FAMILY)
+
+    @given(event_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_sweep_direct_mapped(self, specs):
+        assert_family_agrees(events_from(specs), DIRECT_MAPPED, SPARSE_SWEEP)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_seeded_large_streams(self, seed):
-        rng = random.Random(seed)
-        specs = []
-        previous = None
-        for _ in range(600):
-            line = rng.randrange(120)
-            if line == previous:
-                line = (line + 1) % 120
-            previous = line
-            specs.append(
-                (
-                    line * 16,
-                    rng.randint(1, 8),
-                    rng.choice([SEQUENTIAL_SLOT, 0, 1, 2, 3]),
-                )
-            )
-        events = events_from(specs)
-        for member, counters in zip(
-            MIXED_FAMILY, batch_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
-        ):
-            kernel = fast_counters(
-                member.scheme, events, TINY_GEOMETRY, **dict(member.options)
-            )
-            assert_identical(counters, kernel, member)
+    @pytest.mark.parametrize("geometry", [TINY_GEOMETRY, DIRECT_MAPPED])
+    def test_seeded_large_streams(self, seed, geometry):
+        events = seeded_stream(seed)
+        assert_family_agrees(events, geometry, MIXED_FAMILY)
+        assert_family_agrees(events, geometry, SPARSE_SWEEP)
+
+    def test_degenerate_one_config_family(self):
+        events = events_from([(0, 1), (16, 2), (0, 1), (96, 3)])
+        for member in MIXED_FAMILY + SPARSE_SWEEP:
+            assert_family_agrees(events, TINY_GEOMETRY, [member])
 
     def test_empty_trace(self):
-        empty = events_from([])
-        for member, counters in zip(
-            MIXED_FAMILY, batch_counters(empty, TINY_GEOMETRY, MIXED_FAMILY)
-        ):
-            assert_identical(
-                counters,
-                fast_counters(
-                    member.scheme, empty, TINY_GEOMETRY, **dict(member.options)
-                ),
-                member,
-            )
+        assert_family_agrees(events_from([]), TINY_GEOMETRY, MIXED_FAMILY)
 
     def test_no_members_is_empty(self):
         events = events_from([(0, 1), (16, 2)])
-        assert batch_counters(events, TINY_GEOMETRY, []) == []
+        assert family_counters(events, TINY_GEOMETRY, []) == []
 
 
 class TestBatchableGate:
@@ -151,7 +177,7 @@ class TestBatchableGate:
     def test_non_batchable_member_raises(self):
         events = events_from([(0, 1)])
         with pytest.raises(SchemeError, match="not\\s+batchable"):
-            batch_counters(
+            family_counters(
                 events, TINY_GEOMETRY, [BatchMember("way-memoization", {})]
             )
 
@@ -161,13 +187,13 @@ class TestBatchableGate:
             "way-placement", {"wpa_size": 64, "page_size": 16, "wpa_base": 64}
         )
         with pytest.raises(SchemeError, match="beginning"):
-            batch_counters(events, TINY_GEOMETRY, [member])
+            family_counters(events, TINY_GEOMETRY, [member])
 
     def test_negative_wpa_rejected(self):
         events = events_from([(0, 1)])
         member = BatchMember("way-placement", {"wpa_size": -16, "page_size": 16})
         with pytest.raises(SchemeError):
-            batch_counters(events, TINY_GEOMETRY, [member])
+            family_counters(events, TINY_GEOMETRY, [member])
 
 
 def make_runner(**kwargs):
@@ -235,18 +261,25 @@ class TestFamilyExecution:
                 ]
             )
 
-    def test_run_grid_batch_matches_reference(self):
-        batch_reports = make_runner(engine="batch").run_grid(SWEEP_CELLS)
-        reference_reports = make_runner(engine="reference").run_grid(SWEEP_CELLS)
-        for cell, batch_report, reference_report in zip(
-            SWEEP_CELLS, batch_reports, reference_reports
+    def test_default_runner_plans_families(self):
+        # No engine argument: grids replay the WPA sweep as one family.
+        runner = make_runner()
+        reports = runner.run_grid(SWEEP_CELLS)
+        assert runner.last_grid.families >= 1
+        assert runner.last_grid.family_cells == 3
+
+        reference = make_runner(engine="reference")
+        reference_reports = reference.run_grid(SWEEP_CELLS)
+        assert reference.last_grid.families == 0
+        for cell, report, reference_report in zip(
+            SWEEP_CELLS, reports, reference_reports
         ):
-            assert batch_report.counters == reference_report.counters, cell
-            assert batch_report.breakdown == reference_report.breakdown, cell
-            assert batch_report.cycles == reference_report.cycles, cell
+            assert report.counters == reference_report.counters, cell
+            assert report.breakdown == reference_report.breakdown, cell
+            assert report.cycles == reference_report.cycles, cell
 
     def test_family_failure_degrades_to_per_cell(self):
-        runner = make_runner(engine="batch")
+        runner = make_runner()
         rule = ChaosRule("family", "raise", match="crc", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             reports = runner.run_grid(SWEEP_CELLS)
@@ -262,3 +295,14 @@ class TestFamilyExecution:
         reference_reports = make_runner(engine="reference").run_grid(SWEEP_CELLS)
         for report, reference_report in zip(reports, reference_reports):
             assert report.counters == reference_report.counters
+
+
+def test_counters_are_plain_fetch_counters():
+    # Downstream pricing treats family results exactly like per-cell ones;
+    # a subclass or array-backed impostor would pickle differently.
+    events = events_from([(0, 1), (16, 2)])
+    results = family_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
+    assert all(type(counters) is FetchCounters for counters in results)
+    for counters in results:
+        for field in dataclasses.fields(FetchCounters):
+            assert isinstance(getattr(counters, field.name), int), field.name

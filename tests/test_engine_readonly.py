@@ -5,9 +5,8 @@ Trace arrays arrive shared — mmap'd store entries
 immutable inputs.  Replaying on arrays with the ``writeable`` flag
 dropped turns any accidental in-place mutation into a hard
 ``ValueError``; equality against the writable replay pins bit-identical
-results on top.  All four tiers are covered: the reference schemes, the
-vectorized per-cell kernels, the batched family kernel, and the
-differential tier.
+results on top.  All three tiers are covered: the reference schemes, the
+vectorized per-cell kernels, and family replay.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine.batch import BatchMember, batch_counters
-from repro.engine.differential import differential_counters
+from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters
 from repro.layout import original_layout
 from repro.schemes.baseline import BaselineScheme
@@ -28,7 +26,7 @@ from repro.trace.executor import BlockTrace, CfgWalker
 from repro.trace.fetch import line_events_from_block_trace
 from tests.scheme_helpers import TINY_GEOMETRY, events_from
 
-#: Baseline and a WPA sweep together, exercising every family-tier path.
+#: Baseline and a WPA sweep together, exercising every family replay path.
 FAMILY = [
     BatchMember("baseline", {"page_size": 16}),
     BatchMember("way-placement", {"wpa_size": 0, "page_size": 16}),
@@ -85,17 +83,10 @@ def test_fast_kernels_accept_frozen_traces(events):
         assert got == want, f"frozen replay diverged for {member}"
 
 
-def test_batch_tier_accepts_frozen_traces(events):
+def test_family_tier_accepts_frozen_traces(events):
     frozen = frozen_events(events)
-    assert batch_counters(frozen, TINY_GEOMETRY, FAMILY) == batch_counters(
+    assert family_counters(frozen, TINY_GEOMETRY, FAMILY) == family_counters(
         events, TINY_GEOMETRY, FAMILY
-    )
-
-
-def test_differential_tier_accepts_frozen_traces(events):
-    frozen = frozen_events(events)
-    assert differential_counters(frozen, TINY_GEOMETRY, FAMILY) == (
-        differential_counters(events, TINY_GEOMETRY, FAMILY)
     )
 
 

@@ -244,9 +244,9 @@ class TestLocalPool:
             store_module._warned_write_failure = False
 
 
-class TestDifferentialTierChaos:
-    """Worker replacement + the differential→batch→per-cell ladder, all in
-    one supervised parallel run."""
+class TestFamilyChaos:
+    """Worker replacement + the family→per-cell ladder, all in one
+    supervised parallel run."""
 
     FAMILY_CELLS = [
         GridCell("crc", "way-placement", wpa_size=4 * KB),
@@ -255,10 +255,9 @@ class TestDifferentialTierChaos:
         GridCell("sha", "way-placement", wpa_size=8 * KB),
     ]
 
-    def test_hung_worker_is_replaced_and_family_tiers_degrade(self):
-        want = make_runner().run_grid(self.FAMILY_CELLS, jobs=1)
+    def test_hung_worker_is_replaced_and_family_degrades(self):
+        want = make_runner(engine="reference").run_grid(self.FAMILY_CELLS, jobs=1)
         runner = make_runner(
-            engine="differential",
             resilience=ResilienceConfig(retries=2, backoff_s=0.01, timeout_s=2.0),
         )
         config = ChaosConfig(
@@ -266,9 +265,8 @@ class TestDifferentialTierChaos:
             rules=(
                 # the first crc worker hangs until the supervisor kills it
                 ChaosRule("worker", "hang", match="crc@1", times=1, delay_s=60.0),
-                # in its replacement, the differential tier fails once ...
-                ChaosRule("differential", "raise", match="crc", times=1),
-                # ... and so does the batch tier, falling to per-cell
+                # in its replacement, the family replay fails once and its
+                # cells fall to per-cell replay
                 ChaosRule("family", "raise", match="crc", times=1),
             ),
         )
@@ -278,7 +276,9 @@ class TestDifferentialTierChaos:
         incidents = runner.last_failures
         assert all(f.recovered for f in incidents)
         recoveries = {f.recovery for f in incidents}
-        assert {"fresh-worker", "batch", "per-cell"} <= recoveries
+        assert {"fresh-worker", "per-cell"} <= recoveries
+        # the sha family replayed as one family in its worker
+        assert runner.last_grid.families >= 1
         causes = " ".join(c for f in incidents for c in f.causes)
         assert "timed out" in causes
 
@@ -289,7 +289,7 @@ class TestChaosDrill:
 
         assert build_rules(13) == build_rules(13)
         sites = {rule.site for rule in build_rules(13)}
-        assert {"worker", "kernel", "cell", "store.save"} == sites
+        assert {"worker", "family", "kernel", "cell", "store.save"} == sites
 
     def test_seeded_drill_stays_bit_identical(self):
         from repro.resilience.drill import run_drill

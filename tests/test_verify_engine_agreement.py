@@ -2,11 +2,11 @@
 
 Every bundled workload's evaluation trace replays through the vectorized
 ``engine.kernels`` and then through the full post-hoc sanitizer array
-checks — zero violations expected — and through the family tiers: a WPA
-sweep family must come back from ``differential_counters`` and
-``batch_counters`` bit-identical to the per-cell kernels on every
-workload — and every tier's counters must sit inside the abstract
-interpretation's static bounds (the S008 invariant).  One session-scoped
+checks — zero violations expected — and through family replay: a WPA
+sweep family must come back from ``family_counters`` bit-identical to
+the per-cell kernels on every workload — and every tier's counters must
+sit inside the abstract interpretation's static bounds (the S008
+invariant).  One session-scoped
 runner serves all parametrized cases so profiling, layout, and trace
 generation happen once per benchmark.
 """
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.batch import BatchMember, batch_counters
-from repro.engine.differential import differential_counters
+from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters, way_placement_counters
 from repro.errors import SanitizerError
 from repro.experiments.runner import ExperimentRunner
@@ -62,7 +61,7 @@ def test_kernels_satisfy_every_invariant(agreement_runner, workload):
 
 @pytest.mark.parametrize("workload", benchmark_names())
 def test_family_tiers_agree_with_the_kernels(agreement_runner, workload):
-    """differential ≡ batch ≡ per-cell on every bundled workload's trace."""
+    """family replay ≡ per-cell kernels on every bundled workload's trace."""
     events = agreement_runner.events(
         workload, LayoutPolicy.WAY_PLACEMENT, MACHINE.icache.line_size
     )
@@ -80,24 +79,22 @@ def test_family_tiers_agree_with_the_kernels(agreement_runner, workload):
         ),
         BatchMember("way-placement", {"wpa_size": fitted, **shared}),
     ]
-    batched = batch_counters(events, MACHINE.icache, members)
-    differential = differential_counters(events, MACHINE.icache, members)
-    for member, diff, batch in zip(members, differential, batched):
-        assert diff == batch, f"differential != batch for {member} on {workload}"
+    family = family_counters(events, MACHINE.icache, members)
+    for member, counters in zip(members, family):
         kernel = fast_counters(
             member.scheme, events, MACHINE.icache, **dict(member.options)
         )
-        assert diff == kernel, f"differential != kernel for {member} on {workload}"
+        assert counters == kernel, f"family != kernel for {member} on {workload}"
 
 
 @pytest.mark.parametrize("workload", benchmark_names())
 def test_static_bounds_bracket_every_engine_tier(agreement_runner, workload):
-    """The absint counter bounds contain all four tiers' replay results.
+    """The absint counter bounds contain all three tiers' replay results.
 
     This is the S008 invariant exercised explicitly: for the baseline and
     the fitted way-placement configuration, every FetchCounters field from
-    the reference schemes, the vectorized kernels, and both family tiers
-    must land inside the static ``[lower, upper]`` bracket.
+    the reference schemes, the vectorized kernels, and family replay must
+    land inside the static ``[lower, upper]`` bracket.
     """
     from repro.analysis.absint import bounds_for_options
 
@@ -115,9 +112,8 @@ def test_static_bounds_bracket_every_engine_tier(agreement_runner, workload):
             {"wpa_size": _fitted_wpa(agreement_runner, workload), **shared},
         ),
     ]
-    batched = batch_counters(events, MACHINE.icache, members)
-    differential = differential_counters(events, MACHINE.icache, members)
-    for member, batch, diff in zip(members, batched, differential):
+    family = family_counters(events, MACHINE.icache, members)
+    for member, family_result in zip(members, family):
         options = dict(member.options)
         bounds = bounds_for_options(member.scheme, events, MACHINE.icache, options)
         assert bounds is not None, f"{member} must be modelled"
@@ -126,9 +122,8 @@ def test_static_bounds_bracket_every_engine_tier(agreement_runner, workload):
         )
         tiers = {
             "reference": scheme_cls(MACHINE.icache, **options).run(events),
-            "vector": fast_counters(member.scheme, events, MACHINE.icache, **options),
-            "batch": batch,
-            "differential": diff,
+            "fast": fast_counters(member.scheme, events, MACHINE.icache, **options),
+            "family": family_result,
         }
         for tier, counters in tiers.items():
             violations = bounds.violations(counters)
@@ -180,7 +175,7 @@ def test_hooked_baseline_matches_the_plain_run(agreement_runner):
     assert hooked == plain
 
 
-@pytest.mark.parametrize("engine", ["vector", "reference"])
+@pytest.mark.parametrize("engine", ["fast", "reference"])
 @pytest.mark.parametrize("scheme", ["baseline", "way-placement"])
 def test_sanitized_runner_reports_cleanly(engine, scheme):
     runner = ExperimentRunner(
