@@ -8,19 +8,21 @@ allowed to change a number.  This suite pins it down three ways:
 
 * **kernel equivalence** — for mixed families (baseline and way-placement
   together, duplicate and non-contiguous thresholds, ``same_line_skip`` on
-  and off, divergent I-TLB shapes, degenerate 1-config families), every
-  :class:`~repro.cache.access.FetchCounters` field from ``family_counters``
-  equals the per-config kernel *and* the reference scheme, on
-  Hypothesis-generated and large seeded streams — including a
-  direct-mapped geometry where every split must reconverge through
-  eviction cascades;
+  and off, divergent I-TLB shapes, degenerate 1-config families, members
+  in any order), every :class:`~repro.cache.access.FetchCounters` field
+  from ``family_counters`` equals the per-config kernel *and* the
+  reference scheme, on Hypothesis-generated and large seeded streams —
+  including a direct-mapped geometry where every split must reconverge
+  through eviction cascades;
 * **planner behaviour** — :func:`~repro.engine.grid.plan_families` groups
   exactly the cells sharing (benchmark, resolved layout policy, geometry),
   and leaves non-batchable, invalid, and lone cells on the per-cell path;
-* **grid execution and supervision** — a default runner plans families
-  and stays bit-identical to the reference engine, and a chaos fault at
-  the ``family`` site degrades the family to per-cell replay with a
-  recovered :class:`~repro.resilience.policy.FailureReport`.
+* **grid execution and supervision** — a default runner plans one family
+  per trace and geometry and stays bit-identical to the reference engine;
+  a chaos fault at the ``family`` site degrades the family to per-cell
+  replay with a recovered :class:`~repro.resilience.policy.FailureReport`,
+  and a kernel fault on top walks the members down to the reference
+  schemes.
 """
 
 import dataclasses
@@ -41,6 +43,7 @@ from repro.resilience import chaos
 from repro.resilience.chaos import ChaosConfig, ChaosRule
 from repro.schemes.baseline import BaselineScheme
 from repro.schemes.way_placement import WayPlacementScheme
+from repro.sim.machine import XSCALE_BASELINE
 from repro.trace.events import SEQUENTIAL_SLOT
 from tests.scheme_helpers import TINY_GEOMETRY, events_from
 from tests.test_schemes_equivalence import event_streams
@@ -141,6 +144,11 @@ class TestKernelEquivalence:
 
     @given(event_streams())
     @settings(max_examples=40, deadline=None)
+    def test_mixed_family_direct_mapped(self, specs):
+        assert_family_agrees(events_from(specs), DIRECT_MAPPED, MIXED_FAMILY)
+
+    @given(event_streams())
+    @settings(max_examples=40, deadline=None)
     def test_sparse_sweep_direct_mapped(self, specs):
         assert_family_agrees(events_from(specs), DIRECT_MAPPED, SPARSE_SWEEP)
 
@@ -151,6 +159,13 @@ class TestKernelEquivalence:
         assert_family_agrees(events, geometry, MIXED_FAMILY)
         assert_family_agrees(events, geometry, SPARSE_SWEEP)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_seeded_member_order(self, seed):
+        # Results map back to input order whatever order the members come in.
+        members = list(MIXED_FAMILY)
+        random.Random(seed).shuffle(members)
+        assert_family_agrees(seeded_stream(seed), TINY_GEOMETRY, members)
+
     def test_degenerate_one_config_family(self):
         events = events_from([(0, 1), (16, 2), (0, 1), (96, 3)])
         for member in MIXED_FAMILY + SPARSE_SWEEP:
@@ -159,9 +174,15 @@ class TestKernelEquivalence:
     def test_empty_trace(self):
         assert_family_agrees(events_from([]), TINY_GEOMETRY, MIXED_FAMILY)
 
+    def test_empty_trace_direct_mapped(self):
+        assert_family_agrees(events_from([]), DIRECT_MAPPED, SPARSE_SWEEP)
+
     def test_no_members_is_empty(self):
         events = events_from([(0, 1), (16, 2)])
         assert family_counters(events, TINY_GEOMETRY, []) == []
+
+    def test_no_members_on_empty_trace(self):
+        assert family_counters(events_from([]), DIRECT_MAPPED, []) == []
 
 
 class TestBatchableGate:
@@ -180,6 +201,14 @@ class TestBatchableGate:
             family_counters(
                 events, TINY_GEOMETRY, [BatchMember("way-memoization", {})]
             )
+
+    def test_non_batchable_member_poisons_family(self):
+        # One member without a family kernel rejects the whole family: no
+        # partial result list that would misalign with the input members.
+        events = events_from([(0, 1), (16, 2)])
+        members = MIXED_FAMILY + [BatchMember("way-memoization", {})]
+        with pytest.raises(SchemeError, match="not\\s+batchable"):
+            family_counters(events, TINY_GEOMETRY, members)
 
     def test_wpa_base_rejected(self):
         events = events_from([(0, 1)])
@@ -295,6 +324,45 @@ class TestFamilyExecution:
         reference_reports = make_runner(engine="reference").run_grid(SWEEP_CELLS)
         for report, reference_report in zip(reports, reference_reports):
             assert report.counters == reference_report.counters
+
+    def test_full_ladder_degrades_to_reference_engine(self):
+        # The family fails, then every way-placement kernel trips the
+        # sanitizer: members walk family -> per-cell -> reference schemes.
+        runner = make_runner()
+        rules = (
+            ChaosRule("family", "raise", match="crc", times=-1),
+            ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=-1),
+        )
+        with chaos.active(ChaosConfig(seed=0, rules=rules)):
+            reports = runner.run_grid(SWEEP_CELLS)
+
+        rungs = [(f.site, f.recovery) for f in runner.last_failures]
+        assert rungs.count(("family", "per-cell")) == 1
+        assert rungs.count(("cell", "engine-fallback")) == 3
+        assert all(f.recovered for f in runner.last_failures)
+
+        reference_reports = make_runner(engine="reference").run_grid(SWEEP_CELLS)
+        for report, reference_report in zip(reports, reference_reports):
+            assert report.counters == reference_report.counters
+
+    def test_families_per_geometry_match_reference(self):
+        # A Figure 6 style grid: the same WPA sweep in two cache geometries
+        # shares one trace but forms one family per geometry.
+        small = XSCALE_BASELINE.with_icache(16 * KB, 4)
+        cells = SWEEP_CELLS + [
+            GridCell("crc", "way-placement", small, wpa_size=size * KB)
+            for size in (4, 8, 16)
+        ]
+        runner = make_runner()
+        reports = runner.run_grid(cells)
+        assert runner.last_grid.families == 2
+        assert runner.last_grid.family_cells == 6
+
+        reference_reports = make_runner(engine="reference").run_grid(cells)
+        for cell, report, reference_report in zip(cells, reports, reference_reports):
+            assert report.counters == reference_report.counters, cell
+            assert report.breakdown == reference_report.breakdown, cell
+            assert report.cycles == reference_report.cycles, cell
 
 
 def test_counters_are_plain_fetch_counters():

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.cache.geometry import CacheGeometry
 from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters
 from repro.layout import original_layout
@@ -87,6 +88,16 @@ def test_family_tier_accepts_frozen_traces(events):
     frozen = frozen_events(events)
     assert family_counters(frozen, TINY_GEOMETRY, FAMILY) == family_counters(
         events, TINY_GEOMETRY, FAMILY
+    )
+
+
+def test_family_tier_accepts_frozen_direct_mapped_traces(events):
+    # One way per set: runs split and merge on nearly every fill, so the
+    # snapshot bookkeeping touches the trace far more often.
+    direct_mapped = CacheGeometry(64, 1, 16)
+    frozen = frozen_events(events)
+    assert family_counters(frozen, direct_mapped, FAMILY) == family_counters(
+        events, direct_mapped, FAMILY
     )
 
 
