@@ -13,12 +13,12 @@ wpa)`` configuration it derives, without replaying a single event:
   classification, proven never-hit lines, loop headers;
 * :mod:`~repro.analysis.absint.bounds` — static lower/upper bounds on
   every :class:`~repro.cache.access.FetchCounters` field and on priced
-  energy, bracketing any real run (the S008 sanitizer invariant);
-* :mod:`~repro.analysis.absint.certify` — the ``repro analyze`` back
-  end: deterministic per-workload JSON certificates.
+  energy, bracketing any real run (the S008 sanitizer invariant).
 
-Entry points: the ``repro analyze`` CLI subcommand, the ``A``-layer lint
-rules (:mod:`repro.analysis.rules.absint_rules`), and the S008 sanitizer
+Consumers: the ``repro verify`` certificate (per configuration, the
+fixpoint summary and the bounds checked against the engine's measured
+counters; :mod:`repro.verify.certify`), the ``A``-layer lint rules
+(:mod:`repro.analysis.rules.absint_rules`), and the S008 sanitizer
 invariant.  See ``docs/static_analysis.md``.
 """
 
@@ -27,6 +27,7 @@ from repro.analysis.absint.analysis import (
     LineSummary,
     absint_flow_graph,
     analyze_cache,
+    behavior_for,
     block_lines,
 )
 from repro.analysis.absint.bounds import (
@@ -36,13 +37,6 @@ from repro.analysis.absint.bounds import (
     energy_bounds,
     footprint_bounds,
 )
-from repro.analysis.absint.certify import (
-    AnalysisCertificate,
-    ConfigAnalysis,
-    analyze_workload,
-    render_analysis_json,
-    render_analysis_text,
-)
 from repro.analysis.absint.lattice import (
     AbstractState,
     CacheUniverse,
@@ -51,21 +45,17 @@ from repro.analysis.absint.lattice import (
 
 __all__ = [
     "AbstractState",
-    "AnalysisCertificate",
     "BoundsViolation",
     "CacheBehavior",
     "CacheUniverse",
     "Classification",
-    "ConfigAnalysis",
     "CounterBounds",
     "LineSummary",
     "absint_flow_graph",
     "analyze_cache",
-    "analyze_workload",
+    "behavior_for",
     "block_lines",
     "bounds_for_options",
     "energy_bounds",
     "footprint_bounds",
-    "render_analysis_json",
-    "render_analysis_text",
 ]

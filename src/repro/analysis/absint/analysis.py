@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.absint.lattice import AbstractState, CacheUniverse, Classification
-from repro.analysis.context import GeometrySpec, LayoutView, ProgramView
+from repro.analysis.context import AnalysisContext, GeometrySpec, LayoutView, ProgramView
 from repro.program.basic_block import BlockKind
 from repro.verify.dataflow import (
     FlowGraph,
@@ -48,6 +48,7 @@ __all__ = [
     "LineSummary",
     "absint_flow_graph",
     "analyze_cache",
+    "behavior_for",
     "block_lines",
 ]
 
@@ -361,3 +362,26 @@ def analyze_cache(
         reachable_sites=reachable_sites,
         unknown_sites=unknown_sites,
     )
+
+
+def behavior_for(context: AnalysisContext) -> Optional[CacheBehavior]:
+    """The way-placement fixpoint at the context's WPA, cached on the context.
+
+    ``None`` without a positive WPA.  The ``A`` rules and the
+    ``repro verify`` certificate share this one computation per context.
+    """
+    if "absint_behavior" not in context._cache:
+        wpa_size = context.wpa_size or 0
+        context._cache["absint_behavior"] = (
+            analyze_cache(
+                context.program,
+                context.layout,
+                context.geometry,
+                "way-placement",
+                wpa_size,
+            )
+            if wpa_size > 0
+            else None
+        )
+    behavior: Optional[CacheBehavior] = context._cache["absint_behavior"]
+    return behavior

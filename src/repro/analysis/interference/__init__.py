@@ -2,23 +2,17 @@
 
 Trace-free temporal interference analysis over the ICFG: a weighted
 conflict graph over cache lines (loop-nest-scaled pair weights, per-set
-pressure, sound conflict-free certificates), a reference conflict replay
-that decomposes misses into cold + conflict per set, and per-workload
-interference certificates surfaced by ``repro analyze --interference``.
+pressure, sound conflict-free certificates) and a reference conflict
+replay that decomposes misses into cold + conflict per set.
 
-Consumers: the ``I`` lint rule layer
+Consumers: the ``repro verify`` certificate (per configuration, the
+graph summary and the replay checked against the engine's measured
+misses; :mod:`repro.verify.certify`), the ``I`` lint rule layer
 (:mod:`repro.analysis.rules.interference_rules`), the conflict-aware
 layout optimizer (:mod:`repro.layout.conflict_aware`), and the S009
 sanitizer invariant.  See ``docs/static_analysis.md``.
 """
 
-from repro.analysis.interference.certify import (
-    ConfigInterference,
-    InterferenceCertificate,
-    interference_workload,
-    render_interference_json,
-    render_interference_text,
-)
 from repro.analysis.interference.graph import (
     BASE,
     MAX_LOOP_DEPTH,
@@ -30,6 +24,7 @@ from repro.analysis.interference.graph import (
     build_interference_graph,
     build_loop_nest,
     certify_conflict_free,
+    graph_for,
     loop_nest_for,
     predicted_conflict_weight,
 )
@@ -44,9 +39,7 @@ from repro.analysis.interference.replay import (
 __all__ = [
     "BASE",
     "MAX_LOOP_DEPTH",
-    "ConfigInterference",
     "ConflictReplay",
-    "InterferenceCertificate",
     "InterferenceEdge",
     "InterferenceGraph",
     "LoopComponent",
@@ -58,10 +51,8 @@ __all__ = [
     "certify_conflict_free",
     "conflict_free_violations",
     "conflict_replay",
-    "interference_workload",
+    "graph_for",
     "loop_nest_for",
     "predicted_conflict_weight",
-    "render_interference_json",
-    "render_interference_text",
     "trace_certified_sets",
 ]

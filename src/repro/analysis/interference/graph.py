@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.absint.analysis import absint_flow_graph, block_lines
-from repro.analysis.context import GeometrySpec, LayoutView, ProgramView
+from repro.analysis.context import AnalysisContext, GeometrySpec, LayoutView, ProgramView
 from repro.verify.dataflow import FlowGraph, reverse_postorder
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "build_interference_graph",
     "build_loop_nest",
     "certify_conflict_free",
+    "graph_for",
     "loop_nest_for",
     "predicted_conflict_weight",
 ]
@@ -464,3 +465,24 @@ def loop_nest_for(program: ProgramView) -> Optional[LoopNest]:
     if graph is None:
         return None
     return build_loop_nest(graph)
+
+
+def graph_for(context: AnalysisContext) -> Optional[InterferenceGraph]:
+    """The context's interference graph at its WPA, cached on the context.
+
+    ``None`` unless the context holds a program, a layout and a sound
+    geometry.  The ``I`` rules and the ``repro verify`` certificate share
+    this one computation per context.
+    """
+    if "interference_graph" not in context._cache:
+        program, layout, geometry = context.program, context.layout, context.geometry
+        context._cache["interference_graph"] = (
+            build_interference_graph(program, layout, geometry, context.wpa_size or 0)
+            if program is not None
+            and layout is not None
+            and geometry is not None
+            and geometry.is_sound()
+            else None
+        )
+    graph: Optional[InterferenceGraph] = context._cache["interference_graph"]
+    return graph

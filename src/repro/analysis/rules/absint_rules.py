@@ -42,20 +42,9 @@ def _absint_location(context: AnalysisContext, detail: str = "") -> Location:
 
 def _behavior(context: AnalysisContext) -> Optional["CacheBehavior"]:
     """The way-placement fixpoint for this context's WPA, cached."""
-    if "absint_behavior" in context._cache:
-        cached: Optional["CacheBehavior"] = context._cache["absint_behavior"]
-        return cached
-    result: Optional["CacheBehavior"] = None
-    wpa_size = context.wpa_size or 0
-    if wpa_size > 0:
-        from repro.analysis.absint.analysis import analyze_cache
+    from repro.analysis.absint.analysis import behavior_for
 
-        result = analyze_cache(
-            context.program, context.layout, context.geometry,
-            "way-placement", wpa_size,
-        )
-    context._cache["absint_behavior"] = result
-    return result
+    return behavior_for(context)
 
 
 @rule(

@@ -48,26 +48,9 @@ def _interference_location(context: AnalysisContext, detail: str = "") -> Locati
 
 def _graph(context: AnalysisContext) -> Optional["InterferenceGraph"]:
     """The layout's interference graph for this context's WPA, cached."""
-    if "interference_graph" in context._cache:
-        cached: Optional["InterferenceGraph"] = context._cache["interference_graph"]
-        return cached
-    result: Optional["InterferenceGraph"] = None
-    if (
-        context.program is not None
-        and context.layout is not None
-        and context.geometry is not None
-        and context.geometry.is_sound()
-    ):
-        from repro.analysis.interference.graph import build_interference_graph
+    from repro.analysis.interference.graph import graph_for
 
-        result = build_interference_graph(
-            context.program,
-            context.layout,
-            context.geometry,
-            context.wpa_size or 0,
-        )
-    context._cache["interference_graph"] = result
-    return result
+    return graph_for(context)
 
 
 def _loop_lines(

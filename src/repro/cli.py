@@ -27,17 +27,13 @@ Commands
     (see docs/analysis.md).  Targets are benchmark names or JSON config
     files; ``--format json`` emits a stable machine-readable report.
 ``verify``
-    Full workload certification (see docs/verification.md): every lint
-    and dataflow-verifier rule, the symbolic WPA placement proof, and a
-    sanitized kernel replay.  Exit 2 when any workload fails.
-``analyze``
-    Abstract-interpretation certification (see docs/static_analysis.md):
-    the must/may cache fixpoint, static counter/energy bounds checked
-    against the engine's measured counters, and the ``A`` rule layer.
-    Exit 2 when any measured counter escapes its static bounds.  With
-    ``--interference``, emit interference certificates instead: the
-    static conflict graph, per-set pressure, certified conflict-free
-    sets, and a per-set conflict replay cross-check.
+    Full workload certification (see docs/verification.md): every lint,
+    dataflow-verifier, abstract-interpretation and interference rule,
+    the symbolic WPA placement proof, a sanitized kernel replay, and per
+    replay configuration (baseline on the original layout, way-placement
+    on the profile-chained and conflict-aware layouts) the static
+    counter/energy bounds and the conflict replay checked against the
+    engine (see docs/static_analysis.md).  Exit 2 when any workload fails.
 ``bench compare``
     Gate on the checked-in bench snapshot (``BENCH_engine.json``):
     fail when a guarded engine speedup drops more than the tolerance.
@@ -216,18 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_arguments(lint)
 
     verify = sub.add_parser(
-        "verify", help="certify workloads: dataflow verifier + WPA proof + sanitizer"
+        "verify",
+        help="certify workloads: rules + WPA proof + sanitizer + "
+        "static bounds and conflict replay per configuration",
     )
     verify.add_argument(
         "targets",
         nargs="*",
         metavar="BENCHMARK",
         help="benchmarks to certify (default: every built-in benchmark)",
-    )
-    verify.add_argument(
-        "--all-workloads",
-        action="store_true",
-        help="certify the full benchmark suite (explicit form of the default)",
     )
     verify.add_argument("--format", default="text", choices=["text", "json"])
     verify.add_argument(
@@ -256,32 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--page-kb", type=int, default=1)
     _add_budget_arguments(verify)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="abstract-interpretation certificates: cache fixpoint + "
-        "static counter/energy bounds + A rules",
-    )
-    analyze.add_argument(
-        "targets",
-        nargs="*",
-        metavar="BENCHMARK",
-        help="benchmarks to analyze (default: every built-in benchmark)",
-    )
-    analyze.add_argument(
-        "--all-workloads",
-        action="store_true",
-        help="analyze the full benchmark suite (explicit form of the default)",
-    )
-    analyze.add_argument("--format", default="text", choices=["text", "json"])
-    analyze.add_argument(
-        "--interference",
-        action="store_true",
-        help="emit interference certificates instead: static conflict "
-        "graph, per-set pressure, certified conflict-free sets, and a "
-        "per-set conflict replay cross-check (exit 2 on any violation)",
-    )
-    _add_budget_arguments(analyze)
 
     bench = sub.add_parser("bench", help="benchmark snapshot utilities")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
@@ -783,29 +750,15 @@ def _benchmark_lint_context(
     page_kb: int,
 ):
     """Analysis context for one built-in benchmark under ``policy``."""
-    from repro.analysis import AnalysisContext
-    from repro.utils.bitops import align_up
-
-    machine = XSCALE_BASELINE
-    layout = runner.layout(benchmark, policy)
     page_size = page_kb * KB
     if wpa_kb is None:
-        wpa_size = min(
-            machine.icache.size_bytes, align_up(layout.end_address, page_size)
+        wpa_size = runner.fitted_wpa_size(
+            benchmark, policy, XSCALE_BASELINE, page_size
         )
     else:
         wpa_size = wpa_kb * KB
-    profile = runner.profile(benchmark)
-    return AnalysisContext.for_experiment(
-        program=runner.workload(benchmark).program,
-        layout=layout,
-        block_counts=profile.block_counts,
-        edge_counts=profile.edge_counts,
-        geometry=machine.icache,
-        wpa_size=wpa_size,
-        page_size=page_size,
-        energy=runner.energy_params,
-        subject=benchmark,
+    return runner.analysis_context(
+        benchmark, policy, XSCALE_BASELINE, wpa_size, page_size
     )
 
 
@@ -851,8 +804,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         render_certificates_text,
     )
 
-    if args.all_workloads and args.targets:
-        raise ReproError("--all-workloads cannot be combined with explicit targets")
     targets = args.targets or list(benchmark_names())
     _validate_benchmarks(targets)
     analyzer = Analyzer(
@@ -880,51 +831,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Wall time goes to stderr so stdout stays byte-for-byte deterministic.
     print(
         f"verified {len(certificates)} workload(s) in {elapsed:.2f}s",
-        file=sys.stderr,
-    )
-    return 0 if all(certificate.ok for certificate in certificates) else 2
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    import time
-
-    if args.all_workloads and args.targets:
-        raise ReproError("--all-workloads cannot be combined with explicit targets")
-    targets = args.targets or list(benchmark_names())
-    _validate_benchmarks(targets)
-    runner = _make_runner(args)
-    started = time.perf_counter()
-    if args.interference:
-        from repro.analysis.interference import (
-            interference_workload,
-            render_interference_json,
-            render_interference_text,
-        )
-
-        certificates = [
-            interference_workload(runner, benchmark) for benchmark in targets
-        ]
-        render_json, render_text_ = (
-            render_interference_json,
-            render_interference_text,
-        )
-    else:
-        from repro.analysis.absint import (
-            analyze_workload,
-            render_analysis_json,
-            render_analysis_text,
-        )
-
-        certificates = [analyze_workload(runner, benchmark) for benchmark in targets]
-        render_json, render_text_ = render_analysis_json, render_analysis_text
-    elapsed = time.perf_counter() - started
-    if args.format == "json":
-        print(render_json(certificates))
-    else:
-        print(render_text_(certificates))
-    # Wall time goes to stderr so stdout stays byte-for-byte deterministic.
-    print(
-        f"analyzed {len(certificates)} workload(s) in {elapsed:.2f}s",
         file=sys.stderr,
     )
     return 0 if all(certificate.ok for certificate in certificates) else 2
@@ -1059,8 +965,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_lint(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
         if args.command == "bench":
             return _cmd_bench(args)
         if args.command == "chaos":

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
+    from repro.analysis.context import AnalysisContext
     from repro.cache.geometry import CacheGeometry
 
 from repro.energy.params import EnergyParams
@@ -458,8 +459,53 @@ class ExperimentRunner:
         return run.normalise(baseline)
 
     # ------------------------------------------------------------------
-    # Strict pre-flight (static analysis before simulation)
+    # Static analysis (strict pre-flight, lint, certification)
     # ------------------------------------------------------------------
+    def fitted_wpa_size(
+        self,
+        benchmark: str,
+        layout_policy: LayoutPolicy,
+        machine: MachineConfig = XSCALE_BASELINE,
+        page_size: Optional[int] = None,
+    ) -> int:
+        """The WPA that covers the whole binary, page-aligned, capped at capacity."""
+        from repro.utils.bitops import align_up
+
+        if page_size is None:
+            page_size = machine.page_size
+        end = self.layout(benchmark, layout_policy).end_address
+        return min(machine.icache.size_bytes, align_up(end, page_size))
+
+    def analysis_context(
+        self,
+        benchmark: str,
+        layout_policy: LayoutPolicy,
+        machine: MachineConfig = XSCALE_BASELINE,
+        wpa_size: int = 0,
+        page_size: Optional[int] = None,
+    ) -> "AnalysisContext":
+        """Everything the static rules inspect behind one experiment.
+
+        The program, its profile, the ``layout_policy`` layout, the
+        machine's I-cache geometry, the WPA and page sizes, and this
+        runner's energy parameters (``page_size`` defaults to the
+        machine's).
+        """
+        from repro.analysis import AnalysisContext
+
+        profile = self.profile(benchmark)
+        return AnalysisContext.for_experiment(
+            program=self.workload(benchmark).program,
+            layout=self.layout(benchmark, layout_policy),
+            block_counts=profile.block_counts,
+            edge_counts=profile.edge_counts,
+            geometry=machine.icache,
+            wpa_size=wpa_size or None,
+            page_size=machine.page_size if page_size is None else page_size,
+            energy=self.energy_params,
+            subject=benchmark,
+        )
+
     def preflight(
         self,
         benchmark: str,
@@ -475,24 +521,13 @@ class ExperimentRunner:
         memoised per (benchmark, layout, geometry, WPA) so sweeps pay the
         analysis once.
         """
-        from repro.analysis import AnalysisContext, Analyzer
+        from repro.analysis import Analyzer
 
         key = (benchmark, layout_policy, machine.icache, wpa_size)
         if key in self._preflighted:
             return
-        context = AnalysisContext.for_experiment(
-            program=self.workload(benchmark).program,
-            layout=self.layout(benchmark, layout_policy),
-            block_counts=self.profile(benchmark).block_counts,
-            edge_counts=self.profile(benchmark).edge_counts,
-            geometry=machine.icache,
-            wpa_size=wpa_size or None,
-            page_size=machine.page_size,
-            energy=self.energy_params,
-            subject=benchmark,
-        )
         Analyzer().check_errors(
-            context,
+            self.analysis_context(benchmark, layout_policy, machine, wpa_size),
             f"benchmark {benchmark!r} ({layout_policy.value} layout, "
             f"WPA {wpa_size}B)",
         )

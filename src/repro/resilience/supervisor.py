@@ -48,7 +48,13 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import CellFailure, ResilienceError, RetriesExhausted, SanitizerError
+from repro.errors import (
+    CellFailure,
+    ResilienceError,
+    RetriesExhausted,
+    SanitizerError,
+    SchemeError,
+)
 from repro.resilience import chaos
 from repro.resilience.journal import (
     ResumeJournal,
@@ -243,16 +249,17 @@ def _plans_families(runner: Any) -> bool:
     """Does this chunk replay families?
 
     Yes when the runner's engine resolves to ``fast`` and the runner can
-    execute a family.  An invalid engine name answers no, so the per-cell
-    path surfaces the proper error.
+    execute a family.  An invalid engine name (a :class:`SchemeError`)
+    answers no, so the per-cell path surfaces the proper error; any other
+    exception propagates.
     """
     if not hasattr(runner, "report_family"):
         return False
-    try:
-        from repro.sim.simulator import resolve_engine
+    from repro.sim.simulator import resolve_engine
 
+    try:
         return resolve_engine(getattr(runner, "engine", None)) == "fast"
-    except Exception:
+    except SchemeError:
         return False
 
 

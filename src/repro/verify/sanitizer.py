@@ -537,9 +537,10 @@ def sanitize_events(
     """Replay one trace through both kernels and run every array check.
 
     This is the certification path: baseline and way-placement kernels
-    replay the trace, their counters are sanitized, the differential is
-    checked, and (when energy parameters are given) the priced breakdown
-    must reconcile.
+    replay the trace, :func:`sanitize_counters` checks each kernel's
+    counters (the way-placement checks include the differential), and
+    (when energy parameters are given) the priced breakdown must
+    reconcile.
     """
     base = baseline_counters(
         events, geometry, itlb_entries=itlb_entries, page_size=page_size
@@ -553,31 +554,14 @@ def sanitize_events(
         same_line_skip=same_line_skip,
     )
     shared = {"itlb_entries": itlb_entries, "page_size": page_size}
-    violations = check_counters(base, geometry, events=events)
-    violations += check_hint_inert(base)
     # The baseline kernel above ran with its default same_line_skip=False.
-    violations += check_static_bounds("baseline", events, geometry, base, shared)
-    violations += check_conflict_certificates(
-        "baseline", events, geometry, base, shared
-    )
-    violations += check_counters(wp, geometry, events=events)
-    violations += check_wayhint(events, wp, wpa_size, same_line_skip=same_line_skip)
-    violations += check_static_bounds(
+    violations = sanitize_counters("baseline", events, geometry, base, shared)
+    violations += sanitize_counters(
         "way-placement",
         events,
         geometry,
         wp,
         {**shared, "wpa_size": wpa_size, "same_line_skip": same_line_skip},
-    )
-    violations += check_conflict_certificates(
-        "way-placement", events, geometry, wp, {**shared, "wpa_size": wpa_size}
-    )
-    violations += check_differential(
-        events,
-        geometry,
-        itlb_entries=itlb_entries,
-        page_size=page_size,
-        same_line_skip=same_line_skip,
     )
     if energy_params is not None:
         model = CacheEnergyModel(

@@ -70,36 +70,19 @@ def lint_all_workloads():
     layout, profile, and the XScale cache geometry with a fitted WPA.
     Session-scoped because profiling all benchmarks is the expensive part.
     """
-    from repro.analysis import Analyzer, AnalysisContext
+    from repro.analysis import Analyzer
     from repro.layout.placement import LayoutPolicy
-    from repro.sim.machine import XSCALE_BASELINE
-    from repro.utils.bitops import align_up
     from repro.workloads import benchmark_names
 
     runner = ExperimentRunner(
         eval_instructions=20_000, profile_instructions=8_000
     )
-    machine = XSCALE_BASELINE
+    policy = LayoutPolicy.WAY_PLACEMENT
     analyzer = Analyzer()
     results = {}
     for benchmark in benchmark_names():
-        layout = runner.layout(benchmark, LayoutPolicy.WAY_PLACEMENT)
-        wpa_size = min(
-            machine.icache.size_bytes,
-            align_up(layout.end_address, machine.page_size),
-        )
-        profile = runner.profile(benchmark)
-        context = AnalysisContext.for_experiment(
-            program=runner.workload(benchmark).program,
-            layout=layout,
-            block_counts=profile.block_counts,
-            edge_counts=profile.edge_counts,
-            geometry=machine.icache,
-            wpa_size=wpa_size,
-            page_size=machine.page_size,
-            energy=runner.energy_params,
-            subject=benchmark,
-        )
+        wpa_size = runner.fitted_wpa_size(benchmark, policy)
+        context = runner.analysis_context(benchmark, policy, wpa_size=wpa_size)
         results[benchmark] = analyzer.run(context)
     return results
 

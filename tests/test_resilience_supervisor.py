@@ -408,6 +408,27 @@ class TestRunnerSurface:
         assert runner.last_grid.executed == ()
 
 
+class TestFamilyPlanning:
+    def test_default_runner_plans_families_and_bad_engine_does_not(self):
+        from repro.resilience.supervisor import _plans_families
+
+        assert _plans_families(make_runner()) is True
+        # an unknown engine name is a SchemeError: per-cell replay reports it
+        assert _plans_families(make_runner(engine="bogus")) is False
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        import repro.sim.simulator as simulator
+        from repro.resilience.supervisor import _plans_families
+
+        def broken(engine):
+            raise RuntimeError("engine table corrupted")
+
+        monkeypatch.setattr(simulator, "resolve_engine", broken)
+        # not a SchemeError: it must surface, not silently disable families
+        with pytest.raises(RuntimeError, match="engine table corrupted"):
+            _plans_families(make_runner())
+
+
 class TestCliFlags:
     def test_supervision_flags_reach_the_runner(self):
         from repro.cli import _make_runner, build_parser
