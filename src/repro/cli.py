@@ -8,9 +8,10 @@ Commands
     Print the paper's Table 1 machine configuration.
 ``figure4`` / ``figure5`` / ``figure6``
     Regenerate a figure (optionally on a benchmark subset).  Grid commands
-    run on a local worker pool (``--jobs``) and accept supervision flags —
-    ``--retries``, ``--timeout``, ``--resume``, ``--fallback-policy`` —
-    described in docs/robustness.md.
+    (these, ``report`` and ``export``) run one supervised grid, in-process
+    or on ``--jobs`` workers, and honour the supervision flags at any
+    ``--jobs`` — ``--retries``, ``--timeout``, ``--resume``,
+    ``--fallback-policy`` — described in docs/robustness.md.
 ``simulate``
     Run one (benchmark, scheme, geometry, WPA) combination and print the
     normalised result plus the activity counters behind it.
@@ -52,7 +53,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, cast
+from typing import Any, Callable, Dict, List, Optional, cast
 
 from repro.errors import ReproError
 from repro.experiments.figures import figure4, figure5, figure6
@@ -466,41 +467,30 @@ def _cmd_table1() -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
-    benchmarks = args.benchmarks
-    if benchmarks:
-        unknown = set(benchmarks) - set(benchmark_names())
+#: The figure experiments by number (``figure4`` / ``export --figure 4``).
+_FIGURES: Dict[str, Callable[..., Any]] = {"4": figure4, "5": figure5, "6": figure6}
+
+
+def _validate_benchmarks(names: Optional[List[str]]) -> None:
+    if names:
+        unknown = set(names) - set(benchmark_names())
         if unknown:
             raise ReproError(f"unknown benchmarks: {sorted(unknown)}")
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    _validate_benchmarks(args.benchmarks)
+    runner = _make_runner(args)
     layout_policy = LayoutPolicy(args.layout) if args.layout else None
-    if args.command == "figure4":
-        print(
-            figure4(
-                runner,
-                benchmarks=benchmarks,
-                jobs=args.jobs,
-                layout_policy=layout_policy,
-            ).render()
-        )
-    elif args.command == "figure5":
-        print(
-            figure5(
-                runner,
-                benchmarks=benchmarks,
-                jobs=args.jobs,
-                layout_policy=layout_policy,
-            ).render()
-        )
-    else:
-        print(
-            figure6(
-                runner,
-                benchmarks=benchmarks,
-                jobs=args.jobs,
-                layout_policy=layout_policy,
-            ).render()
-        )
+    figure = _FIGURES[args.command.removeprefix("figure")]
+    print(
+        figure(
+            runner,
+            benchmarks=args.benchmarks,
+            jobs=args.jobs,
+            layout_policy=layout_policy,
+        ).render()
+    )
     _print_grid_summary(runner)
     return 0
 
@@ -630,13 +620,6 @@ def _cmd_choose_wpa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_benchmarks(names) -> None:
-    if names:
-        unknown = set(names) - set(benchmark_names())
-        if unknown:
-            raise ReproError(f"unknown benchmarks: {sorted(unknown)}")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import reproduction_report
 
@@ -664,18 +647,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
     _validate_benchmarks(args.benchmarks)
     runner = _make_runner(args)
-    if args.figure == "4":
-        records = figure4_records(
-            figure4(runner, benchmarks=args.benchmarks, jobs=args.jobs)
-        )
-    elif args.figure == "5":
-        records = figure5_records(
-            figure5(runner, benchmarks=args.benchmarks, jobs=args.jobs)
-        )
-    else:
-        records = figure6_records(
-            figure6(runner, benchmarks=args.benchmarks, jobs=args.jobs)
-        )
+    to_records = {"4": figure4_records, "5": figure5_records, "6": figure6_records}
+    result = _FIGURES[args.figure](runner, benchmarks=args.benchmarks, jobs=args.jobs)
+    records = to_records[args.figure](result)
     _print_grid_summary(runner)
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
     if args.output:

@@ -12,10 +12,10 @@ Four layers, each usable on its own:
 * :mod:`repro.engine.store` — a content-hash-keyed on-disk cache for block
   traces, profiles, and line-event traces (``REPRO_CACHE_DIR``, default
   ``.repro_cache/``), so fresh processes stop re-walking CFGs;
-* :mod:`repro.engine.grid` — a supervised process-parallel experiment grid
-  runner, chunked by benchmark so each worker derives or loads every trace
-  at most once; retries, worker crash isolation, engine fallback, and
-  checkpoint–resume come from :mod:`repro.resilience`.
+* :mod:`repro.engine.grid` — experiment grid cells and the planner that
+  coalesces them into families; the runner hands every experiment's cells
+  to the supervised grid of :mod:`repro.resilience.supervisor` at any
+  ``jobs``.
 
 See ``docs/performance.md`` for the architecture and how to choose between
 the ``fast`` and ``reference`` engines, and ``docs/robustness.md`` for the
@@ -23,7 +23,6 @@ supervision and fault-injection story.
 """
 
 from repro.engine.arrays import (
-    geometry_arrays,
     geometry_lists,
     itlb_misses,
     page_numbers,
@@ -32,7 +31,7 @@ from repro.engine.arrays import (
     wpa_flags,
 )
 from repro.engine.family import BatchMember, batchable, family_counters
-from repro.engine.grid import BatchFamily, GridCell, plan_families, run_grid
+from repro.engine.grid import BatchFamily, GridCell, plan_families
 from repro.engine.kernels import (
     FAST_SCHEMES,
     baseline_counters,
@@ -51,14 +50,12 @@ __all__ = [
     "batchable",
     "family_counters",
     "fast_counters",
-    "geometry_arrays",
     "geometry_lists",
     "itlb_misses",
     "layout_digest",
     "page_numbers",
     "plan_families",
     "program_digest",
-    "run_grid",
     "sweep_aggregates",
     "way_hints",
     "way_placement_counters",

@@ -9,12 +9,13 @@ memoises them per trace object, keyed by the geometry/WPA parameters they
 depend on — replaying the same trace under nine cache configurations or six
 WPA sizes recomputes only what actually changed.
 
-Beyond the arrays themselves, two *products* of the arrays are memoised
-because repeated cells on the same trace kept re-deriving them:
+Two quantities are memoised in the form their consumers use, because
+repeated cells on the same trace kept re-deriving them:
 
-* :func:`geometry_lists` — the ``.tolist()`` decomposition of
-  :func:`geometry_arrays` that the sequential kernel loops iterate (the
-  conversion costs about as much as a fifth of the loop itself);
+* :func:`geometry_lists` — the per-event set/tag/mandated-way slices as the
+  plain lists the sequential kernel loops iterate (only the lists are
+  kept: the slicing arrays are temporaries, so each trace pays the memory
+  once per geometry, not twice);
 * :func:`itlb_misses` — the round-robin I-TLB miss count, which depends
   only on ``(page_size, entries)`` and is therefore identical for every
   cell of a WPA sweep.
@@ -35,7 +36,6 @@ from repro.trace.events import LineEventTrace
 from repro.utils.bitops import log2_exact, mask
 
 __all__ = [
-    "geometry_arrays",
     "geometry_lists",
     "itlb_misses",
     "line_census",
@@ -63,13 +63,15 @@ def _memo(events: LineEventTrace) -> dict:
     return store
 
 
-def geometry_arrays(
+def geometry_lists(
     events: LineEventTrace, geometry: CacheGeometry
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[List[int], List[int], List[int]]:
     """Per-event ``(set_indices, tags, mandated_ways)`` under ``geometry``.
 
-    Only the address-slicing bit widths matter, so geometries differing in
-    ways but equal in sets x line size share the set/tag arrays' cache slot.
+    Plain lists, memoised: the sequential kernel loops iterate Python ints,
+    and converting the slices costs ~1ms per 60k events, which a WPA sweep
+    used to pay once per cell.  Only the address-slicing bit widths matter,
+    so geometries equal in offset, set and way bits share a slot.
     """
     key = ("geom", geometry.offset_bits, geometry.set_bits, geometry.way_bits)
     store = _memo(events)
@@ -78,25 +80,6 @@ def geometry_arrays(
         set_indices = (addrs >> geometry.offset_bits) & mask(geometry.set_bits)
         tags = addrs >> (geometry.offset_bits + geometry.set_bits)
         mandated = tags & mask(geometry.way_bits)
-        store[key] = (set_indices, tags, mandated)
-    return store[key]
-
-
-def geometry_lists(
-    events: LineEventTrace, geometry: CacheGeometry
-) -> Tuple[List[int], List[int], List[int]]:
-    """:func:`geometry_arrays` decomposed to plain lists, memoised.
-
-    The sequential kernel loops iterate Python ints; converting the arrays
-    costs ~1ms per 60k events, which a WPA sweep used to pay once per cell.
-    Shares the geometry key of :func:`geometry_arrays` (way count does not
-    matter for set/tag slicing, and the mandated way only depends on
-    ``way_bits``).
-    """
-    key = ("geomlists", geometry.offset_bits, geometry.set_bits, geometry.way_bits)
-    store = _memo(events)
-    if key not in store:
-        set_indices, tags, mandated = geometry_arrays(events, geometry)
         store[key] = (set_indices.tolist(), tags.tolist(), mandated.tolist())
     return store[key]
 

@@ -1,33 +1,18 @@
-"""Parallel experiment grids: fan simulation cells across worker processes.
+"""Experiment grid cells and the family planner.
 
 A *cell* is one ``(benchmark, scheme, machine, wpa, options)`` simulation —
-exactly the argument tuple of :meth:`ExperimentRunner.report`.  The figure
-and sensitivity grids are hundreds of cells that share traces per
-benchmark, so the fan-out is **chunked by benchmark**: each worker process
-receives every cell of one benchmark, derives (or loads from the persistent
-:class:`~repro.engine.store.TraceStore`) that benchmark's traces once, and
-ships the finished :class:`~repro.sim.report.SimulationReport` objects
-back.  The parent adopts them into its memo, so subsequent ``report()`` /
-``normalised()`` calls are cache hits.
+exactly the argument tuple of :meth:`ExperimentRunner.report`.  Every
+experiment hands its cells to
+:meth:`~repro.experiments.runner.ExperimentRunner.run_grid`, which runs
+them under the supervisor (:mod:`repro.resilience.supervisor`) at any
+``jobs``: retry/backoff, engine fallback, worker crash isolation and
+checkpoint–resume, in-process at ``jobs=1`` and on a local worker pool,
+chunked by benchmark, otherwise.
 
-Execution is **supervised** (see :mod:`repro.resilience.supervisor`):
-failing cells are retried with backoff, kernel/sanitizer failures degrade
-to the bit-identical reference engine, crashed or hung workers are killed
-and their remaining cells re-run on fresh workers (then in-process), and
-completed cells are checkpointed to a resume journal.  Every completed
-report is adopted into the runner's memo *before* any failure surfaces —
-a partial grid keeps all of its finished work, and a
-:class:`~repro.errors.CellFailure` carries structured
-:class:`~repro.resilience.policy.FailureReport` records for the rest.
-
-``jobs <= 1`` runs everything in-process with no workers — identical
-results, no pickling, the right default for tests and single-benchmark
-work.
-
-Under the ``fast`` engine (the default) a second coalescing layer kicks
-in: the **planner** (:func:`plan_families`) groups the cells of a chunk into
-*families* — cells replaying the same line-event trace under the same
-cache geometry — and each family runs as **one** traversal of the trace via
+Under the ``fast`` engine (the default) the supervisor coalesces each
+benchmark's cells with the **planner** (:func:`plan_families`): cells
+replaying the same line-event trace under the same cache geometry form a
+*family*, and each family runs as **one** traversal of the trace via
 :func:`repro.engine.family.family_counters`, fanning the per-config
 counters back to the original cells in input order.  Cells family replay
 cannot model (schemes without a kernel, exotic options) stay on the
@@ -44,12 +29,9 @@ from repro.cache.geometry import CacheGeometry
 from repro.engine.family import batchable
 from repro.errors import SchemeError
 from repro.layout.placement import LayoutPolicy
-from repro.resilience.policy import ResilienceConfig
-from repro.resilience.supervisor import supervise_grid
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
-from repro.sim.report import SimulationReport
 
-__all__ = ["BatchFamily", "GridCell", "plan_families", "run_grid"]
+__all__ = ["BatchFamily", "GridCell", "plan_families"]
 
 
 @dataclass(frozen=True)
@@ -155,25 +137,3 @@ def plan_families(
         )
     singles.sort()
     return families, singles
-
-
-def run_grid(
-    runner,
-    cells: Sequence[GridCell],
-    jobs: int = 1,
-    resilience: Optional[ResilienceConfig] = None,
-) -> List[SimulationReport]:
-    """Simulate ``cells`` under supervision; returns reports in input order.
-
-    ``runner`` is an :class:`~repro.experiments.runner.ExperimentRunner`;
-    every result is also adopted into its report memo (even on partial
-    failure, before :class:`~repro.errors.CellFailure` is raised).  The
-    retry/timeout/fallback/resume behaviour comes from ``resilience``,
-    defaulting to the runner's own config
-    (:data:`~repro.resilience.policy.DEFAULT_RESILIENCE` otherwise); the
-    structured outcome lands on ``runner.last_grid`` and
-    ``runner.last_failures``.
-    """
-    if resilience is None:
-        resilience = getattr(runner, "resilience", None)
-    return supervise_grid(runner, cells, jobs=jobs, config=resilience)

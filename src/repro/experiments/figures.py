@@ -1,9 +1,12 @@
 """Regeneration of the paper's figures (4, 5, 6) as structured results.
 
-Each ``figureN`` function runs the exact experiment grid of the paper's
-Section 6 through an :class:`~repro.experiments.runner.ExperimentRunner` and
-returns a result object that knows how to render itself as the ASCII
-equivalent of the figure (the series the paper plots, as table rows).
+Each ``figureN`` function builds the exact experiment grid of the paper's
+Section 6, runs it as one supervised grid through
+:meth:`~repro.experiments.runner.ExperimentRunner.run_grid` (at any
+``jobs``), then aggregates its result from the runner's memo.  The result
+object knows how to render itself as the ASCII equivalent of the figure (the
+series the paper plots, as table rows).  :func:`paper_figures` runs all
+three figures as one grid over the de-duplicated union of their cells.
 
 The paper plots arithmetic means over the benchmark suite ("averaged across
 all benchmarks"); the result objects expose those plus per-benchmark detail.
@@ -12,7 +15,7 @@ all benchmarks"); the result objects expose those plus per-benchmark detail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.grid import GridCell
 from repro.errors import ExperimentError
@@ -31,6 +34,9 @@ __all__ = [
     "figure4",
     "figure5",
     "figure6",
+    "paper_figures",
+    "suite_cells",
+    "FIGURE4_WPA_SIZE",
     "FIGURE5_WPA_SIZES",
     "FIGURE6_CACHE_SIZES",
     "FIGURE6_WAYS",
@@ -39,6 +45,8 @@ __all__ = [
 
 _KB = 1024
 
+#: Section 6.1: the way-placement area of the initial evaluation.
+FIGURE4_WPA_SIZE = 32 * _KB
 #: Section 6.2: the way-placement area sweep, 32KB down to 1KB.
 FIGURE5_WPA_SIZES: Tuple[int, ...] = tuple(s * _KB for s in (32, 16, 8, 4, 2, 1))
 #: Section 6.3: cache sizes and associativities.
@@ -50,6 +58,52 @@ FIGURE6_WPA_SIZES: Tuple[int, ...] = (16 * _KB, 8 * _KB)
 
 def _wpa_label(wpa_size: int) -> str:
     return f"{wpa_size // _KB}KB"
+
+
+def _suite(benchmarks: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    return tuple(benchmarks if benchmarks is not None else benchmark_names())
+
+
+def suite_cells(
+    benchmarks: Sequence[str],
+    machine: MachineConfig,
+    wpa_sizes: Sequence[int],
+    layout_policy: Optional[LayoutPolicy] = None,
+) -> List[GridCell]:
+    """Each benchmark's baseline, way-memoization and way-placement cells.
+
+    One way-placement cell per WPA size, on ``layout_policy``'s layout (the
+    scheme's pairing by default).  These are the rows every Section 6
+    experiment normalises and averages, so an empty suite has nothing to
+    average and raises :class:`~repro.errors.ExperimentError`.
+    """
+    if not benchmarks:
+        raise ExperimentError("an experiment needs at least one benchmark")
+    cells = []
+    for bench in benchmarks:
+        cells.append(GridCell(bench, "baseline", machine))
+        cells.append(GridCell(bench, "way-memoization", machine))
+        cells.extend(
+            GridCell(
+                bench, "way-placement", machine, wpa_size=wpa, layout_policy=layout_policy
+            )
+            for wpa in wpa_sizes
+        )
+    return cells
+
+
+class _Plan(NamedTuple):
+    """A figure's grid cells and its aggregation over the runner's memo."""
+
+    cells: List[GridCell]
+    aggregate: Callable[[ExperimentRunner], Any]
+
+
+def _run(runner: ExperimentRunner, jobs: int, *plans: _Plan) -> List[Any]:
+    """Run the plans' de-duplicated cells as one grid, then aggregate each."""
+    cells = list(dict.fromkeys(cell for plan in plans for cell in plan.cells))
+    runner.run_grid(cells, jobs=jobs)
+    return [plan.aggregate(runner) for plan in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -137,60 +191,53 @@ class Figure4Result:
         )
 
 
-def figure4(
-    runner: ExperimentRunner,
-    benchmarks: Optional[Sequence[str]] = None,
-    machine: MachineConfig = XSCALE_BASELINE,
-    wpa_size: int = 32 * _KB,
-    jobs: int = 1,
-    layout_policy: Optional[LayoutPolicy] = None,
-) -> Figure4Result:
-    """Reproduce Figure 4: the paper's initial evaluation.
-
-    ``jobs > 1`` fans the (benchmark, scheme) grid across worker processes
-    before the (then memoised) per-benchmark lookups below.
-    ``layout_policy`` swaps the way-placement runs' code layout (e.g.
-    ``LayoutPolicy.CONFLICT_AWARE`` for the trace-free optimizer).
-    """
-    benchmarks = tuple(benchmarks if benchmarks is not None else benchmark_names())
-    if not benchmarks:
-        raise ExperimentError("figure 4 needs at least one benchmark")
-    if jobs > 1:
-        cells = []
-        for bench in benchmarks:
-            cells.append(GridCell(bench, "baseline", machine))
-            cells.append(GridCell(bench, "way-memoization", machine))
-            cells.append(
-                GridCell(
+def _figure4_plan(
+    benchmarks: Tuple[str, ...],
+    machine: MachineConfig,
+    wpa_size: int,
+    layout_policy: Optional[LayoutPolicy],
+) -> _Plan:
+    def aggregate(runner: ExperimentRunner) -> Figure4Result:
+        return Figure4Result(
+            machine=machine,
+            wpa_size=wpa_size,
+            benchmarks=benchmarks,
+            memoization={
+                bench: runner.normalised(bench, "way-memoization", machine)
+                for bench in benchmarks
+            },
+            placement={
+                bench: runner.normalised(
                     bench,
                     "way-placement",
                     machine,
                     wpa_size=wpa_size,
                     layout_policy=layout_policy,
                 )
-            )
-        runner.run_grid(cells, jobs=jobs)
-    memoization = {
-        bench: runner.normalised(bench, "way-memoization", machine)
-        for bench in benchmarks
-    }
-    placement = {
-        bench: runner.normalised(
-            bench,
-            "way-placement",
-            machine,
-            wpa_size=wpa_size,
-            layout_policy=layout_policy,
+                for bench in benchmarks
+            },
         )
-        for bench in benchmarks
-    }
-    return Figure4Result(
-        machine=machine,
-        wpa_size=wpa_size,
-        benchmarks=benchmarks,
-        memoization=memoization,
-        placement=placement,
-    )
+
+    return _Plan(suite_cells(benchmarks, machine, (wpa_size,), layout_policy), aggregate)
+
+
+def figure4(
+    runner: ExperimentRunner,
+    benchmarks: Optional[Sequence[str]] = None,
+    machine: MachineConfig = XSCALE_BASELINE,
+    wpa_size: int = FIGURE4_WPA_SIZE,
+    jobs: int = 1,
+    layout_policy: Optional[LayoutPolicy] = None,
+) -> Figure4Result:
+    """Reproduce Figure 4: the paper's initial evaluation.
+
+    ``jobs`` worker processes run the (benchmark, scheme) grid (one runs it
+    in-process).  ``layout_policy`` swaps the way-placement runs' code
+    layout (e.g. ``LayoutPolicy.CONFLICT_AWARE`` for the trace-free
+    optimizer).
+    """
+    plan = _figure4_plan(_suite(benchmarks), machine, wpa_size, layout_policy)
+    return _run(runner, jobs, plan)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +282,16 @@ class Figure5Result:
         )
 
 
-def figure5(
+def _suite_means(
     runner: ExperimentRunner,
-    wpa_sizes: Sequence[int] = FIGURE5_WPA_SIZES,
-    benchmarks: Optional[Sequence[str]] = None,
-    machine: MachineConfig = XSCALE_BASELINE,
-    jobs: int = 1,
-    layout_policy: Optional[LayoutPolicy] = None,
-) -> Figure5Result:
-    """Reproduce Figure 5: the effect of shrinking the way-placement area."""
-    benchmarks = tuple(benchmarks if benchmarks is not None else benchmark_names())
-    wpa_sizes = tuple(wpa_sizes)
-    if not wpa_sizes:
-        raise ExperimentError("figure 5 needs at least one WPA size")
-    if jobs > 1:
-        cells = []
-        for bench in benchmarks:
-            cells.append(GridCell(bench, "baseline", machine))
-            cells.append(GridCell(bench, "way-memoization", machine))
-            for wpa in wpa_sizes:
-                cells.append(
-                    GridCell(
-                        bench,
-                        "way-placement",
-                        machine,
-                        wpa_size=wpa,
-                        layout_policy=layout_policy,
-                    )
-                )
-        runner.run_grid(cells, jobs=jobs)
+    benchmarks: Tuple[str, ...],
+    machine: MachineConfig,
+    wpa_sizes: Tuple[int, ...],
+    layout_policy: Optional[LayoutPolicy],
+) -> Figure6Cell:
+    """Suite-mean normalised energy and ED of way-memoization and of
+    way-placement at each WPA size, on one machine."""
+    memo = [runner.normalised(bench, "way-memoization", machine) for bench in benchmarks]
     placement_energy: Dict[int, float] = {}
     placement_ed: Dict[int, float] = {}
     for wpa in wpa_sizes:
@@ -279,16 +307,49 @@ def figure5(
         ]
         placement_energy[wpa] = arithmetic_mean(r.icache_energy for r in results)
         placement_ed[wpa] = arithmetic_mean(r.ed_product for r in results)
-    memo = [runner.normalised(bench, "way-memoization", machine) for bench in benchmarks]
-    return Figure5Result(
-        machine=machine,
-        wpa_sizes=wpa_sizes,
-        benchmarks=benchmarks,
-        placement_energy=placement_energy,
-        placement_ed=placement_ed,
+    return Figure6Cell(
         memoization_energy=arithmetic_mean(r.icache_energy for r in memo),
         memoization_ed=arithmetic_mean(r.ed_product for r in memo),
+        placement_energy=placement_energy,
+        placement_ed=placement_ed,
     )
+
+
+def _figure5_plan(
+    benchmarks: Tuple[str, ...],
+    wpa_sizes: Tuple[int, ...],
+    machine: MachineConfig,
+    layout_policy: Optional[LayoutPolicy],
+) -> _Plan:
+    if not wpa_sizes:
+        raise ExperimentError("figure 5 needs at least one WPA size")
+
+    def aggregate(runner: ExperimentRunner) -> Figure5Result:
+        means = _suite_means(runner, benchmarks, machine, wpa_sizes, layout_policy)
+        return Figure5Result(
+            machine=machine,
+            wpa_sizes=wpa_sizes,
+            benchmarks=benchmarks,
+            placement_energy=means.placement_energy,
+            placement_ed=means.placement_ed,
+            memoization_energy=means.memoization_energy,
+            memoization_ed=means.memoization_ed,
+        )
+
+    return _Plan(suite_cells(benchmarks, machine, wpa_sizes, layout_policy), aggregate)
+
+
+def figure5(
+    runner: ExperimentRunner,
+    wpa_sizes: Sequence[int] = FIGURE5_WPA_SIZES,
+    benchmarks: Optional[Sequence[str]] = None,
+    machine: MachineConfig = XSCALE_BASELINE,
+    jobs: int = 1,
+    layout_policy: Optional[LayoutPolicy] = None,
+) -> Figure5Result:
+    """Reproduce Figure 5: the effect of shrinking the way-placement area."""
+    plan = _figure5_plan(_suite(benchmarks), tuple(wpa_sizes), machine, layout_policy)
+    return _run(runner, jobs, plan)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +429,39 @@ class Figure6Result:
         )
 
 
+def _figure6_plan(
+    benchmarks: Tuple[str, ...],
+    cache_sizes: Tuple[int, ...],
+    ways_list: Tuple[int, ...],
+    wpa_sizes: Tuple[int, ...],
+    layout_policy: Optional[LayoutPolicy],
+) -> _Plan:
+    machines = {
+        (size, ways): XSCALE_BASELINE.with_icache(size, ways)
+        for size in cache_sizes
+        for ways in ways_list
+    }
+
+    def aggregate(runner: ExperimentRunner) -> Figure6Result:
+        return Figure6Result(
+            cache_sizes=cache_sizes,
+            ways_list=ways_list,
+            wpa_sizes=wpa_sizes,
+            benchmarks=benchmarks,
+            cells={
+                key: _suite_means(runner, benchmarks, machine, wpa_sizes, layout_policy)
+                for key, machine in machines.items()
+            },
+        )
+
+    cells = [
+        cell
+        for machine in machines.values()
+        for cell in suite_cells(benchmarks, machine, wpa_sizes, layout_policy)
+    ]
+    return _Plan(cells, aggregate)
+
+
 def figure6(
     runner: ExperimentRunner,
     cache_sizes: Sequence[int] = FIGURE6_CACHE_SIZES,
@@ -378,64 +472,35 @@ def figure6(
     layout_policy: Optional[LayoutPolicy] = None,
 ) -> Figure6Result:
     """Reproduce Figure 6: varying cache size and associativity."""
-    benchmarks = tuple(benchmarks if benchmarks is not None else benchmark_names())
-    cache_sizes = tuple(cache_sizes)
-    ways_list = tuple(ways_list)
-    wpa_sizes = tuple(wpa_sizes)
-    if jobs > 1:
-        grid_cells = []
-        for size in cache_sizes:
-            for ways in ways_list:
-                machine = XSCALE_BASELINE.with_icache(size, ways)
-                for bench in benchmarks:
-                    grid_cells.append(GridCell(bench, "baseline", machine))
-                    grid_cells.append(GridCell(bench, "way-memoization", machine))
-                    for wpa in wpa_sizes:
-                        grid_cells.append(
-                            GridCell(
-                                bench,
-                                "way-placement",
-                                machine,
-                                wpa_size=wpa,
-                                layout_policy=layout_policy,
-                            )
-                        )
-        runner.run_grid(grid_cells, jobs=jobs)
-    cells: Dict[Tuple[int, int], Figure6Cell] = {}
-    for size in cache_sizes:
-        for ways in ways_list:
-            machine = XSCALE_BASELINE.with_icache(size, ways)
-            memo = [
-                runner.normalised(bench, "way-memoization", machine)
-                for bench in benchmarks
-            ]
-            placement_energy: Dict[int, float] = {}
-            placement_ed: Dict[int, float] = {}
-            for wpa in wpa_sizes:
-                results = [
-                    runner.normalised(
-                        bench,
-                        "way-placement",
-                        machine,
-                        wpa_size=wpa,
-                        layout_policy=layout_policy,
-                    )
-                    for bench in benchmarks
-                ]
-                placement_energy[wpa] = arithmetic_mean(
-                    r.icache_energy for r in results
-                )
-                placement_ed[wpa] = arithmetic_mean(r.ed_product for r in results)
-            cells[(size, ways)] = Figure6Cell(
-                memoization_energy=arithmetic_mean(r.icache_energy for r in memo),
-                memoization_ed=arithmetic_mean(r.ed_product for r in memo),
-                placement_energy=placement_energy,
-                placement_ed=placement_ed,
-            )
-    return Figure6Result(
-        cache_sizes=cache_sizes,
-        ways_list=ways_list,
-        wpa_sizes=wpa_sizes,
-        benchmarks=benchmarks,
-        cells=cells,
+    plan = _figure6_plan(
+        _suite(benchmarks),
+        tuple(cache_sizes),
+        tuple(ways_list),
+        tuple(wpa_sizes),
+        layout_policy,
     )
+    return _run(runner, jobs, plan)[0]
+
+
+def paper_figures(
+    runner: ExperimentRunner,
+    benchmarks: Optional[Sequence[str]] = None,
+    jobs: int = 1,
+) -> Tuple[Figure4Result, Figure5Result, Figure6Result]:
+    """Figures 4, 5 and 6 at the paper's parameters, run as one grid.
+
+    The figures share cells — Figure 5's sweep holds Figure 4's, and
+    Figure 6's 32KB/32-way row holds part of Figure 5's — so the grid is
+    their de-duplicated union: 40 cells per benchmark.
+    """
+    suite = _suite(benchmarks)
+    fig4, fig5, fig6 = _run(
+        runner,
+        jobs,
+        _figure4_plan(suite, XSCALE_BASELINE, FIGURE4_WPA_SIZE, None),
+        _figure5_plan(suite, FIGURE5_WPA_SIZES, XSCALE_BASELINE, None),
+        _figure6_plan(
+            suite, FIGURE6_CACHE_SIZES, FIGURE6_WAYS, FIGURE6_WPA_SIZES, None
+        ),
+    )
+    return fig4, fig5, fig6

@@ -1,17 +1,18 @@
 """A one-shot reproduction report: every figure plus the paper checklist.
 
-:func:`reproduction_report` runs the full evaluation through a runner and
-renders a single markdown document — the figures as preformatted tables, a
-headline summary, and an explicit pass/fail checklist against the paper's
-stated results.  The CLI exposes it as ``python -m repro report``.
+:func:`reproduction_report` runs the full evaluation through a runner, as
+one supervised grid over every cell of Figures 4, 5 and 6, and renders a
+single markdown document — the figures as preformatted tables, a headline
+summary, and an explicit pass/fail checklist against the paper's stated
+results.  The CLI exposes it as ``python -m repro report``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.experiments.figures import figure4, figure5, figure6
+from repro.experiments.figures import paper_figures
 from repro.experiments.runner import ExperimentRunner
 
 __all__ = ["ChecklistItem", "reproduction_report", "paper_checklist"]
@@ -130,10 +131,13 @@ def reproduction_report(
     benchmarks: Optional[Sequence[str]] = None,
     jobs: int = 1,
 ) -> str:
-    """Render the full reproduction as one markdown document."""
-    fig4 = figure4(runner, benchmarks=benchmarks, jobs=jobs)
-    fig5 = figure5(runner, benchmarks=benchmarks, jobs=jobs)
-    fig6 = figure6(runner, benchmarks=benchmarks, jobs=jobs)
+    """Render the full reproduction as one markdown document.
+
+    The three figures run as one grid (see
+    :func:`~repro.experiments.figures.paper_figures`), so a report has one
+    worker pool, one resume journal and one ``runner.last_grid``.
+    """
+    fig4, fig5, fig6 = paper_figures(runner, benchmarks=benchmarks, jobs=jobs)
     checklist = paper_checklist(fig4, fig5, fig6)
 
     passed = sum(1 for item in checklist if item.passed)

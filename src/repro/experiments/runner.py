@@ -30,9 +30,10 @@ per benchmark and can be overridden by the ``REPRO_EVAL_INSTRUCTIONS`` /
 trace length for wall-clock time; results are stable well below the
 defaults because the workloads are stationary loop nests).
 
-For sweeping many (benchmark, scheme, geometry) cells at once, use
-:meth:`ExperimentRunner.run_grid`, which fans cells across worker
-processes chunked by benchmark (see :mod:`repro.engine.grid`).
+Every experiment runs its (benchmark, scheme, geometry) cells through
+:meth:`ExperimentRunner.run_grid`, the supervised grid of
+:mod:`repro.resilience.supervisor`: in-process at ``jobs=1``, across worker
+processes chunked by benchmark otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ if TYPE_CHECKING:
 
 from repro.energy.params import EnergyParams
 from repro.engine.family import BatchMember, family_counters
-from repro.engine.grid import GridCell, run_grid
+from repro.engine.grid import GridCell
 from repro.engine.store import TraceStore, layout_digest, program_digest
 from repro.errors import ExperimentError
 from repro.resilience.chaos import chaos_point
@@ -55,7 +56,7 @@ from repro.layout.layouts import Layout
 from repro.layout.placement import LayoutPolicy, make_layout
 from repro.profiling.profile_data import ProfileData
 from repro.resilience.policy import FailureReport, ResilienceConfig
-from repro.resilience.supervisor import GridSummary
+from repro.resilience.supervisor import GridSummary, supervise_grid
 from repro.profiling.profiler import dynamic_memory_fraction, profile_block_trace
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
 from repro.sim.report import NormalisedResult, SimulationReport
@@ -534,7 +535,7 @@ class ExperimentRunner:
         self._preflighted.add(key)
 
     # ------------------------------------------------------------------
-    # Parallel grids
+    # Supervised grids
     # ------------------------------------------------------------------
     def has_report(self, cell: GridCell) -> bool:
         """Is this cell's simulation already memoised?"""
@@ -564,12 +565,14 @@ class ExperimentRunner:
         jobs: int = 1,
         resilience: Optional[ResilienceConfig] = None,
     ) -> List[SimulationReport]:
-        """Simulate many cells, fanning across ``jobs`` worker processes.
+        """Simulate ``cells`` under supervision; reports return in input order.
 
-        Cells are chunked by benchmark so each worker derives (or loads from
-        the persistent cache) every trace at most once; results land in this
-        runner's memo and come back in input order.  ``jobs <= 1`` runs
-        serially in-process.
+        Every experiment runs through here, at any ``jobs``.  ``jobs == 1``
+        runs the cells in-process; more fan benchmark chunks across worker
+        processes, so each derives (or loads from the persistent cache)
+        every trace at most once.  Either way, trace-sharing cells replay as
+        families under the ``fast`` engine, and every result lands in this
+        runner's memo.
 
         Execution is supervised (retry/backoff, engine fallback, worker
         crash isolation, checkpoint–resume) according to ``resilience``,
@@ -577,6 +580,6 @@ class ExperimentRunner:
         :mod:`repro.resilience.supervisor`.  Afterwards
         ``self.last_grid`` / ``self.last_failures`` describe what happened.
         """
-        return run_grid(
-            self, cells, jobs=jobs, resilience=resilience or self.resilience
+        return supervise_grid(
+            self, cells, jobs=jobs, config=resilience or self.resilience
         )

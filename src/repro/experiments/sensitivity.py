@@ -23,8 +23,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.energy.cache_model import CacheEnergyModel
 from repro.energy.params import EnergyParams
 from repro.energy.processor import ProcessorReport
-from repro.engine.grid import GridCell
 from repro.errors import ExperimentError
+from repro.experiments.figures import suite_cells
 from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
@@ -117,39 +117,14 @@ def sensitivity_grid(
     conflict-aware optimizer's layouts.
     """
     benchmarks = list(benchmarks if benchmarks is not None else benchmark_names())
-    if not benchmarks:
-        raise ExperimentError("sensitivity grid needs at least one benchmark")
     base_params = runner.energy_params
 
     # Simulate once per (benchmark, scheme); reprice per grid point.
-    if jobs > 1:
-        cells = []
-        for bench in benchmarks:
-            cells.append(GridCell(bench, "baseline", machine))
-            cells.append(
-                GridCell(
-                    bench,
-                    "way-placement",
-                    machine,
-                    wpa_size=wpa_size,
-                    layout_policy=layout_policy,
-                )
-            )
-            cells.append(GridCell(bench, "way-memoization", machine))
-        runner.run_grid(cells, jobs=jobs)
-    reports: Dict[Tuple[str, str], SimulationReport] = {}
-    for bench in benchmarks:
-        reports[(bench, "baseline")] = runner.report(bench, "baseline", machine)
-        reports[(bench, "way-placement")] = runner.report(
-            bench,
-            "way-placement",
-            machine,
-            wpa_size=wpa_size,
-            layout_policy=layout_policy,
-        )
-        reports[(bench, "way-memoization")] = runner.report(
-            bench, "way-memoization", machine
-        )
+    cells = suite_cells(benchmarks, machine, (wpa_size,), layout_policy)
+    reports: Dict[Tuple[str, str], SimulationReport] = {
+        (cell.benchmark, cell.scheme): report
+        for cell, report in zip(cells, runner.run_grid(cells, jobs=jobs))
+    }
 
     points = []
     for cam_scale in cam_scales:

@@ -101,8 +101,9 @@ class ResilienceConfig:
     worker chunk) runs at most ``retries + 1`` times before the next rung
     of the recovery ladder.  ``timeout_s`` is the wall-clock budget of one
     worker chunk attempt (``None`` disables timeouts).  ``resume`` makes
-    :func:`~repro.engine.grid.run_grid` reload the checkpoint journal of
-    an interrupted identical grid and re-execute only the missing cells.
+    :meth:`~repro.experiments.runner.ExperimentRunner.run_grid` reload the
+    checkpoint journal of an interrupted identical grid and re-execute only
+    the missing cells.
     """
 
     retries: int = 2

@@ -1,6 +1,8 @@
 """Supervised grid execution: retry, timeout, crash isolation, fallback.
 
-This is the engine room behind :func:`repro.engine.grid.run_grid`.  Where
+This is the engine room behind
+:meth:`repro.experiments.runner.ExperimentRunner.run_grid`, which every
+experiment calls at any ``jobs`` (``jobs=1`` runs in-process).  Where
 the old fan-out handed hundreds of cells to a bare ``ProcessPoolExecutor``
 — one crash, hang, or disk fault aborting the whole grid and discarding
 every finished report — the supervisor walks a recovery ladder and keeps

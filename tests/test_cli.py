@@ -100,7 +100,11 @@ class TestCommands:
     def test_figure5_subset(self, capsys):
         code = main(["figure5", "--benchmarks", "crc", *FAST])
         assert code == 0
-        assert "Figure 5(a)" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "Figure 5(a)" in captured.out
+        # --jobs 1 runs the supervised grid too: the six way-placement
+        # cells replay as one family
+        assert "grid planner: 1 family(ies) covering 6 of 8 cell(s)" in captured.err
 
 
 class TestReportAndExport:

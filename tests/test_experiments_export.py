@@ -1,12 +1,14 @@
 """Tests for figure-data export and the reproduction report."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.engine.grid import GridCell
+from repro.errors import CellFailure, ExperimentError
 from repro.experiments.export import (
     figure4_records,
     figure5_records,
@@ -17,8 +19,17 @@ from repro.experiments.export import (
 from repro.experiments.figures import figure4, figure5, figure6
 from repro.experiments.report import paper_checklist, reproduction_report
 from repro.experiments.runner import ExperimentRunner
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosConfig, ChaosRule
+from repro.resilience.journal import cell_content_key
+from repro.resilience.policy import FallbackPolicy, ResilienceConfig
+from repro.sim.machine import XSCALE_BASELINE
 
 SUBSET = ["crc", "sha"]
+#: Distinct cells of one benchmark across Figures 4-6: Figure 5's eight
+#: (baseline, way-memoization, six WPA sizes) hold Figure 4's three, and
+#: Figure 6's 36 (nine geometries x four) share four with Figure 5.
+REPORT_CELLS_PER_BENCHMARK = 8 + 36 - 4
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +119,52 @@ class TestReport:
         assert "Figure 4" in text and "Figure 5" in text and "Figure 6" in text
         # the tiny-kernel subset reproduces the headline claims
         assert "| Figure 4: way-placement energy savings approach 50% |" in text
+
+    def test_report_runs_one_grid(self, runner, monkeypatch):
+        calls = []
+        run_grid = runner.run_grid
+
+        def spy(cells, **kwargs):
+            calls.append(len(cells))
+            return run_grid(cells, **kwargs)
+
+        monkeypatch.setattr(runner, "run_grid", spy)
+        reproduction_report(runner, benchmarks=SUBSET)
+        total = REPORT_CELLS_PER_BENCHMARK * len(SUBSET)
+        assert calls == [total]
+        assert runner.last_grid.total == total
+
+    def test_interrupted_serial_report_resumes(self, tmp_path):
+        def make_runner(cache_dir, resilience=None):
+            return ExperimentRunner(
+                eval_instructions=8_000,
+                profile_instructions=4_000,
+                cache_dir=cache_dir,
+                resilience=resilience,
+            )
+
+        fail_fast = ResilienceConfig(
+            retries=0, backoff_s=0.0, fallback=FallbackPolicy.NONE
+        )
+        first = make_runner(tmp_path, fail_fast)
+        rule = ChaosRule("cell", "raise", match="sha:way-memoization", times=1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            with pytest.raises(CellFailure):
+                reproduction_report(first, benchmarks=SUBSET)
+        [failed] = first.last_grid.failed
+
+        resumed = make_runner(tmp_path, dataclasses.replace(fail_fast, resume=True))
+        text = reproduction_report(resumed, benchmarks=SUBSET)
+        summary = resumed.last_grid
+        assert summary.executed == (failed,)
+        assert len(summary.resumed) == summary.total - 1
+        journaled = {
+            "figure 4": GridCell("crc", "way-placement", wpa_size=32 * 1024),
+            "figure 5": GridCell("crc", "way-placement", wpa_size=1024),
+            "figure 6": GridCell(
+                "crc", "way-memoization", XSCALE_BASELINE.with_icache(16 * 1024, 8)
+            ),
+        }
+        for figure, cell in journaled.items():
+            assert cell_content_key(cell) in summary.resumed, figure
+        assert text == reproduction_report(make_runner("off"), benchmarks=SUBSET)

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.figures import figure4, figure5, figure6
 from repro.experiments.runner import ExperimentRunner
+from repro.resilience import chaos
+from repro.resilience.chaos import ChaosConfig, ChaosRule
 
 SUBSET = ["crc", "sha", "susan_c"]
 
@@ -59,6 +61,10 @@ class TestFigure5:
         ).render()
         assert "32KB" in text and "1KB" in text and "way-memo" in text
 
+    def test_empty_suite_rejected(self, runner):
+        with pytest.raises(ExperimentError):
+            figure5(runner, benchmarks=[])
+
 
 class TestFigure6:
     @pytest.fixture(scope="class")
@@ -100,3 +106,27 @@ class TestFigure6:
     def test_render(self, result):
         text = result.render()
         assert "Figure 6(a)" in text and "Figure 6(b)" in text
+
+    def test_empty_suite_rejected(self, runner):
+        with pytest.raises(ExperimentError):
+            figure6(runner, benchmarks=[])
+
+
+class TestSupervisedSerialGrid:
+    """At the default ``jobs=1`` a figure still runs under the supervisor."""
+
+    @staticmethod
+    def make_runner():
+        return ExperimentRunner(
+            eval_instructions=8_000, profile_instructions=4_000, cache_dir="off"
+        )
+
+    def test_kernel_sanitizer_trip_recovers_bit_identically(self):
+        want = figure4(self.make_runner(), benchmarks=["crc", "sha"])
+        runner = self.make_runner()
+        rule = ChaosRule("kernel", "sanitizer", match="way-placement", times=1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            got = figure4(runner, benchmarks=["crc", "sha"])
+        assert got == want
+        [incident] = runner.last_failures
+        assert incident.recovered and incident.recovery == "engine-fallback"
