@@ -1,15 +1,11 @@
-"""Benches for the fast engine: kernel speedup, family replay, warm-cache startup.
+"""Benches for the fast engine: kernel speedup, store loads, warm-cache startup.
 
-Six acceptance properties of the engine live here:
+Four acceptance properties of the engine live here:
 
-* the vectorized kernels replay the 32KB/32-way way-placement configuration
-  at least ~5x faster than the reference schemes (measured as events/sec on
-  the same trace, same process);
-* ``run_grid`` replays a 16-point WPA sweep as one family at least 3x
-  faster than a per-cell ``report`` loop over the same cells;
-* family replay of a 256-point WPA sweep is recorded against one
-  per-config kernel call per member (adjacent configs share state, so a
-  dense sweep costs little more than one replay);
+* the vectorized kernels replay the 32KB/32-way baseline and way-placement
+  configurations at least ~5x faster than the reference schemes (measured
+  as events/sec on the same trace, same process; ``repro bench compare``
+  guards both ratios);
 * a warm store load of a line-event trace (mmap'd entry directory) is at
   least 50x faster than re-deriving the same events from the block trace;
 * a parallel grid on a warm store is faster than on a cold one, with
@@ -29,10 +25,8 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, record_metric, run_once
-from repro.engine.family import BatchMember, family_counters
 from repro.engine.grid import GridCell
 from repro.engine.kernels import fast_counters
-from repro.layout.placement import LayoutPolicy
 from repro.layout import original_layout
 from repro.schemes.baseline import BaselineScheme
 from repro.schemes.way_placement import WayPlacementScheme
@@ -81,20 +75,30 @@ def _time(function, repeats=None):
 )
 def test_bench_kernel_speedup(benchmark, events, scheme, options):
     geometry = XSCALE_BASELINE.icache
-    if scheme == "baseline":
-        reference = BaselineScheme(geometry, **options)
-    else:
-        reference = WayPlacementScheme(geometry, **options)
+    scheme_cls = BaselineScheme if scheme == "baseline" else WayPlacementScheme
+
+    def reference():
+        return scheme_cls(geometry, **options).run(events)
+
+    def kernel():
+        return fast_counters(scheme, events, geometry, **options)
 
     # Warm the per-trace array memo so the bench measures steady-state
     # replay, not the one-off geometry decomposition.
-    fast_counters(scheme, events, geometry, **options)
+    assert kernel() == reference()
 
-    ref_counters, ref_time = _time(lambda: type(reference)(geometry, **options).run(events))
-    fast, fast_time = run_once(
-        benchmark, lambda: _time(lambda: fast_counters(scheme, events, geometry, **options))
-    )
-    assert fast == ref_counters
+    def interleaved():
+        # Alternate the two sides, collecting garbage before each, so host
+        # load shifts and collector pauses hit both alike.
+        ref_best = fast_best = float("inf")
+        for _ in range(BENCH_REPEATS):
+            gc.collect()
+            ref_best = min(ref_best, _time(reference, repeats=1)[1])
+            gc.collect()
+            fast_best = min(fast_best, _time(kernel, repeats=1)[1])
+        return ref_best, fast_best
+
+    ref_time, fast_time = run_once(benchmark, interleaved)
 
     speedup = ref_time / fast_time
     events_per_sec = events.num_events / fast_time
@@ -112,122 +116,6 @@ def test_bench_kernel_speedup(benchmark, events, scheme, options):
         },
     )
     assert speedup >= 5.0, f"vectorized {scheme} kernel only {speedup:.2f}x faster"
-
-
-def test_bench_family_sweep_16(benchmark, tmp_path_factory):
-    """A 16-point WPA sweep: ``run_grid`` family replay vs a per-cell loop.
-
-    Runner-level on purpose: both sides price and memoise every cell, so
-    the ratio is what a grid gains from one trace traversal per family
-    instead of one replay per cell.
-    """
-    from repro.experiments.runner import ExperimentRunner
-
-    cache = tmp_path_factory.mktemp("family-cache")
-    cells = [
-        GridCell("susan_c", "way-placement", wpa_size=point * KB)
-        for point in range(1, 17)
-    ]
-    runner = ExperimentRunner(cache_dir=cache)
-    # Warm the trace pipeline so the timing isolates replay, which is what
-    # the two sides differ in; each round re-simulates every cell.
-    runner.events("susan_c", LayoutPolicy.WAY_PLACEMENT, 32)
-
-    def per_cell():
-        runner._reports.clear()
-        return [runner.report(**cell.report_kwargs()) for cell in cells]
-
-    def family():
-        runner._reports.clear()
-        return runner.run_grid(cells)
-
-    per_cell()
-    family()
-    per_cell_reports, per_cell_time = _time(per_cell)
-    family_reports, family_time = run_once(benchmark, lambda: _time(family))
-    assert runner.last_grid.families == 1
-    for cell, family_report, per_cell_report in zip(
-        cells, family_reports, per_cell_reports
-    ):
-        assert family_report.counters == per_cell_report.counters, (
-            f"family counters diverge for {cell}"
-        )
-
-    speedup = per_cell_time / family_time
-    emit(
-        f"[engine] 16-point WPA sweep: per-cell {per_cell_time * 1000:.1f}ms, "
-        f"family {family_time * 1000:.1f}ms ({speedup:.1f}x)"
-    )
-    record_metric(
-        "grid.wpa_sweep_16",
-        {
-            "cells": len(cells),
-            "per_cell_wall_s": round(per_cell_time, 4),
-            "family_wall_s": round(family_time, 4),
-            "family_speedup": round(speedup, 2),
-        },
-    )
-    assert speedup >= 3.0, (
-        f"family sweep took {family_time * 1000:.1f}ms, more than 1/3 of the "
-        f"per-cell sweep ({per_cell_time * 1000:.1f}ms)"
-    )
-
-
-def test_bench_family_sweep_256(benchmark, events):
-    """A 256-point WPA sweep: one family traversal vs per-member kernels.
-
-    Kernel-level on purpose: pricing and memoisation cost the same per
-    cell on both sides, so timing the counters isolates what family replay
-    saves.  Recorded and guarded by the compare gate, not asserted here.
-    """
-    geometry = XSCALE_BASELINE.icache
-    members = [
-        BatchMember("way-placement", {"wpa_size": point * KB})
-        for point in range(1, 257)
-    ]
-
-    def per_member():
-        return [
-            fast_counters(member.scheme, events, geometry, **dict(member.options))
-            for member in members
-        ]
-
-    def family():
-        return family_counters(events, geometry, members)
-
-    # Warm the per-trace memos (geometry decomposition, per-WPA flags,
-    # sorted sweep aggregates) so the bench measures steady-state replay.
-    per_member_results = per_member()
-    family_results = family()
-    assert family_results == per_member_results, "family counters diverge"
-
-    def interleaved():
-        # Alternate the two sides so host load shifts hit both alike.
-        per_member_best = family_best = float("inf")
-        for _ in range(BENCH_REPEATS):
-            gc.collect()
-            per_member_best = min(per_member_best, _time(per_member, repeats=1)[1])
-            gc.collect()
-            family_best = min(family_best, _time(family, repeats=1)[1])
-        return per_member_best, family_best
-
-    per_member_time, family_time = run_once(benchmark, interleaved)
-
-    speedup = per_member_time / family_time
-    emit(
-        f"[engine] 256-point WPA sweep: per-member kernels "
-        f"{per_member_time * 1000:.1f}ms, family {family_time * 1000:.1f}ms "
-        f"({speedup:.1f}x)"
-    )
-    record_metric(
-        "grid.wpa_sweep_256",
-        {
-            "cells": len(members),
-            "per_member_wall_s": round(per_member_time, 4),
-            "family_wall_s": round(family_time, 4),
-            "family_speedup": round(speedup, 2),
-        },
-    )
 
 
 def test_bench_store_load_events(benchmark, tmp_path_factory):

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Run the engine/throughput benches and snapshot the numbers.
 
-Executes ``benchmarks/test_bench_engine.py`` (kernel speedup, the 16- and
-256-point WPA family sweeps, warm store loads, cold vs warm parallel
-grids, warm-cache startup) with ``$REPRO_BENCH_JSON`` pointed at a scratch
-file, then assembles ``BENCH_engine.json`` at the repository root: replay
-events/sec per engine, family-replay wall times and speedups, plus enough
+Executes ``benchmarks/test_bench_engine.py`` (kernel speedups, warm store
+loads, cold vs warm parallel grids, warm-cache startup) with
+``$REPRO_BENCH_JSON`` pointed at a scratch file, then assembles
+``BENCH_engine.json`` at the repository root: replay events/sec and
+speedup per kernel, store-load and grid wall times, plus enough
 environment metadata to compare snapshots across machines.
 Wall times are best-of-N (``--repeats``, default 3) so the checked-in
 speedup claims aren't single-run noise; N is recorded in the snapshot's

@@ -320,9 +320,9 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         choices=["fast", "reference"],
-        help="replay engine (default fast: vectorized kernels, with grid "
-        "cells sharing a trace replayed as one family; 'reference' runs "
-        "the object-model schemes; see docs/performance.md)",
+        help="replay engine (default fast: vectorized kernels where a "
+        "scheme has one; 'reference' runs the object-model schemes; see "
+        "docs/performance.md)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -423,18 +423,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     )
 
 
-def _print_grid_summary(runner: ExperimentRunner) -> None:
-    """Planner decisions of the last grid, to stderr (stdout stays data)."""
-    summary = runner.last_grid
-    if summary is None or not summary.families:
-        return
-    print(
-        f"grid planner: {summary.families} family(ies) covering "
-        f"{summary.family_cells} of {summary.total} cell(s)",
-        file=sys.stderr,
-    )
-
-
 def _cmd_list_benchmarks() -> int:
     rows = [
         [
@@ -491,7 +479,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             layout_policy=layout_policy,
         ).render()
     )
-    _print_grid_summary(runner)
     return 0
 
 
@@ -626,7 +613,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     _validate_benchmarks(args.benchmarks)
     runner = _make_runner(args)
     text = reproduction_report(runner, benchmarks=args.benchmarks, jobs=args.jobs)
-    _print_grid_summary(runner)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -650,7 +636,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     to_records = {"4": figure4_records, "5": figure5_records, "6": figure6_records}
     result = _FIGURES[args.figure](runner, benchmarks=args.benchmarks, jobs=args.jobs)
     records = to_records[args.figure](result)
-    _print_grid_summary(runner)
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
     if args.output:
         with open(args.output, "w") as handle:

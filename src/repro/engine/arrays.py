@@ -7,7 +7,9 @@ way-placement area, and the way-hint vector (which is just the WPA flag
 shifted by one event).  This module computes them vectorized with NumPy and
 memoises them per trace object, keyed by the geometry/WPA parameters they
 depend on — replaying the same trace under nine cache configurations or six
-WPA sizes recomputes only what actually changed.
+WPA sizes recomputes only what actually changed.  Every grid cell replays
+with its own kernel call, so this memo is all that the cells of a sweep
+share.
 
 Two quantities are memoised in the form their consumers use, because
 repeated cells on the same trace kept re-deriving them:
@@ -40,7 +42,6 @@ __all__ = [
     "itlb_misses",
     "line_census",
     "page_numbers",
-    "sweep_aggregates",
     "way_hints",
     "wpa_flag_list",
     "wpa_flags",
@@ -159,54 +160,6 @@ def wpa_flag_list(events: LineEventTrace, wpa_size: int) -> List[bool]:
     store = _memo(events)
     if key not in store:
         store[key] = wpa_flags(events, wpa_size).tolist()
-    return store[key]
-
-
-def sweep_aggregates(
-    events: LineEventTrace,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted per-trace aggregates that turn WPA-sweep reductions into lookups.
-
-    Every event-independent way-placement count is a monotone function of
-    the threshold ``w`` counting events or consecutive-event pairs with an
-    address below ``w``:
-
-    * ``prefix_sorted`` — ``sort(addrs[:-1])``: hints past event 0 are the
-      previous event's WPA flag, so the predicted count is
-      ``searchsorted(prefix_sorted, w)`` (+1 for an initial hint);
-    * ``up_a / up_b`` — the ascending consecutive pairs ``a < b``, each
-      endpoint sorted: a hint false positive at ``j >= 1`` is
-      ``a < w <= b``, and counts as ``#(a < w) - #(b < w)``;
-    * ``dn_a / dn_b`` — the descending pairs ``a > b`` likewise: a false
-      negative is ``b < w <= a``, i.e. ``#(b < w) - #(a < w)``;
-    * ``addr_sorted / extra_cumsum`` — addresses sorted with the zero-
-      prefixed running sum of ``counts - 1`` in the same order: repeat
-      fetches inside the WPA are ``extra_cumsum[#(addr < w)]``.
-
-    All integer-exact, so the derived counts are bit-identical to the 2-D
-    boolean reductions.  Computed once per trace — O(events log events) —
-    and shared by every sweep family over it, turning the per-member cost
-    into a handful of ``searchsorted`` probes.
-    """
-    key = ("sweep",)
-    store = _memo(events)
-    if key not in store:
-        addrs = events.line_addrs.astype(np.int64, copy=False)
-        a, b = addrs[:-1], addrs[1:]
-        up = a < b
-        down = a > b
-        order = np.argsort(addrs, kind="stable")
-        extra_cumsum = np.zeros(addrs.shape[0] + 1, dtype=np.int64)
-        np.cumsum((events.counts.astype(np.int64) - 1)[order], out=extra_cumsum[1:])
-        store[key] = (
-            np.sort(a),
-            np.sort(a[up]),
-            np.sort(b[up]),
-            np.sort(a[down]),
-            np.sort(b[down]),
-            addrs[order],
-            extra_cumsum,
-        )
     return store[key]
 
 

@@ -2,14 +2,18 @@
 
 Compares a freshly generated snapshot (``scripts/bench_snapshot.py
 --output bench_ci.json``) against the committed ``BENCH_engine.json``
-baseline.  The guarded metrics are family replay's headline speedups —
-ratios of two wall times measured in the same process, so they are far
-more stable across runner hardware than the raw walls:
+baseline.  The guarded metrics are the vectorized kernels' speedups over
+the reference schemes — ratios of two wall times measured in the same
+process, so they are far more stable across runner hardware than the raw
+walls:
 
-* ``grid.wpa_sweep_16.family_speedup`` — a 16-point WPA sweep through
-  ``run_grid`` (one family traversal) vs a per-cell ``report`` loop;
-* ``grid.wpa_sweep_256.family_speedup`` — a 256-point sweep's family
-  counters vs one per-config kernel call per member.
+* ``replay.baseline.vector_speedup`` — the baseline kernel vs
+  :class:`~repro.schemes.baseline.BaselineScheme`;
+* ``replay.way-placement.vector_speedup`` — the way-placement kernel vs
+  :class:`~repro.schemes.way_placement.WayPlacementScheme`.
+
+Both replay the kernel bench's own pinned trace, so a reduced
+``REPRO_EVAL_INSTRUCTIONS`` budget leaves them unchanged.
 
 A guarded speedup may drift or improve freely; dropping more than the
 tolerance (default 20%) below the baseline fails the gate.  A metric
@@ -54,8 +58,8 @@ DEFAULT_TOLERANCE = 0.20
 
 #: (metric name, ratio field) pairs the gate guards.
 GUARDED: Tuple[Tuple[str, str], ...] = (
-    ("grid.wpa_sweep_16", "family_speedup"),
-    ("grid.wpa_sweep_256", "family_speedup"),
+    ("replay.baseline", "vector_speedup"),
+    ("replay.way-placement", "vector_speedup"),
 )
 
 

@@ -44,14 +44,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from repro.analysis.context import AnalysisContext
-    from repro.cache.geometry import CacheGeometry
 
 from repro.energy.params import EnergyParams
-from repro.engine.family import BatchMember, family_counters
 from repro.engine.grid import GridCell
 from repro.engine.store import TraceStore, layout_digest, program_digest
 from repro.errors import ExperimentError
-from repro.resilience.chaos import chaos_point
 from repro.layout.layouts import Layout
 from repro.layout.placement import LayoutPolicy, make_layout
 from repro.profiling.profile_data import ProfileData
@@ -60,7 +57,7 @@ from repro.resilience.supervisor import GridSummary, supervise_grid
 from repro.profiling.profiler import dynamic_memory_fraction, profile_block_trace
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
 from repro.sim.report import NormalisedResult, SimulationReport
-from repro.sim.simulator import Simulator, scheme_options
+from repro.sim.simulator import Simulator
 from repro.trace.events import LineEventTrace
 from repro.trace.executor import BlockTrace, CfgWalker
 from repro.trace.fetch import line_events_from_block_trace
@@ -345,99 +342,6 @@ class ExperimentRunner:
             )
         return self._reports[key]
 
-    def report_family(self, cells: Sequence[GridCell]) -> List[SimulationReport]:
-        """Simulate a family of cells with **one** trace traversal.
-
-        Every cell must share the family key — benchmark, resolved layout
-        policy, cache geometry — so they replay the same line-event trace
-        over the same set/tag decomposition (the planner,
-        :func:`~repro.engine.grid.plan_families`, guarantees this; direct
-        callers get an :class:`~repro.errors.ExperimentError` otherwise).
-        Counters come from :func:`~repro.engine.family.family_counters`,
-        bit-identical to the per-cell engines; each member is then priced,
-        sanitized, and memoised exactly as :meth:`report` would.  Reports
-        return in cell order.
-        """
-        if not cells:
-            return []
-        first = cells[0]
-        policy, geometry, members = self._family_members(cells)
-
-        events = self.events(first.benchmark, policy, geometry.line_size)
-        # Chaos hook: lets the fault-injection harness fail a family replay
-        # and prove the supervisor degrades it to per-cell replay (no-op
-        # unless chaos is active).
-        chaos_point("family", f"{first.benchmark}:{policy.value}:{len(cells)}")
-        counters_list = family_counters(events, geometry, members)
-
-        layout_description = self.layout(first.benchmark, policy).description
-        mem_fraction = self.mem_fraction(first.benchmark)
-        reports = []
-        for cell, member, counters in zip(cells, members, counters_list):
-            if self.sanitize:
-                from repro.verify.sanitizer import raise_if_violations, sanitize_counters
-
-                raise_if_violations(
-                    sanitize_counters(
-                        cell.scheme, events, geometry, counters, dict(member.options)
-                    ),
-                    cell.scheme,
-                )
-            simulator = Simulator(
-                cell.machine,
-                self.energy_params,
-                self.organisation,
-                engine=self.engine,
-                sanitize=self.sanitize,
-            )
-            report = simulator.price(
-                counters,
-                cell.scheme,
-                benchmark=cell.benchmark,
-                layout_description=layout_description,
-                wpa_size=cell.wpa_size,
-                l0_size=cell.l0_size,
-                mem_fraction=mem_fraction,
-            )
-            self.adopt_report(cell, report)
-            reports.append(report)
-        return reports
-
-    def _family_members(
-        self, cells: Sequence[GridCell]
-    ) -> Tuple[LayoutPolicy, "CacheGeometry", List[BatchMember]]:
-        """Validate a family's shared key and build its members."""
-        first = cells[0]
-        policy = self._resolve_layout_policy(first.scheme, first.layout_policy)
-        geometry = first.machine.icache
-        members = []
-        for cell in cells:
-            cell_policy = self._resolve_layout_policy(cell.scheme, cell.layout_policy)
-            if (
-                cell.benchmark != first.benchmark
-                or cell_policy != policy
-                or cell.machine.icache != geometry
-            ):
-                raise ExperimentError(
-                    "report_family needs cells sharing (benchmark, layout "
-                    f"policy, geometry); {cell} does not match {first}"
-                )
-            if self.strict:
-                self.preflight(cell.benchmark, cell_policy, cell.machine, cell.wpa_size)
-            members.append(
-                BatchMember(
-                    cell.scheme,
-                    scheme_options(
-                        cell.machine,
-                        cell.scheme,
-                        wpa_size=cell.wpa_size,
-                        same_line_skip=cell.same_line_skip,
-                        l0_size=cell.l0_size,
-                    ),
-                )
-            )
-        return policy, geometry, members
-
     def normalised(
         self,
         benchmark: str,
@@ -570,9 +474,8 @@ class ExperimentRunner:
         Every experiment runs through here, at any ``jobs``.  ``jobs == 1``
         runs the cells in-process; more fan benchmark chunks across worker
         processes, so each derives (or loads from the persistent cache)
-        every trace at most once.  Either way, trace-sharing cells replay as
-        families under the ``fast`` engine, and every result lands in this
-        runner's memo.
+        every trace at most once.  Either way, each cell replays through
+        :meth:`report`, and every result lands in this runner's memo.
 
         Execution is supervised (retry/backoff, engine fallback, worker
         crash isolation, checkpoint–resume) according to ``resilience``,

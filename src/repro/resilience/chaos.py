@@ -14,9 +14,8 @@ site           where it fires
 ``store.discard``  deleting a corrupt :class:`TraceStore` entry
 ``worker``       a grid worker process's entry point (key ``bench@attempt``)
 ``kernel``       the vectorized fast path in ``Simulator.run_events``
-``cell``         one supervised cell simulation (parent or worker)
-``family``       a family replay in ``ExperimentRunner.report_family``
-                 (recovery is per-cell replay of its members)
+``cell``         one supervised cell simulation (parent or worker), keyed
+                 by its label (``bench:scheme:wpaN:icache=size/ways/line``)
 =============  ==========================================================
 
 Faults model the real failure surface: ``crash`` (the process dies with
@@ -69,7 +68,6 @@ _SITES = frozenset(
         "worker",
         "kernel",
         "cell",
-        "family",
     }
 )
 _FAULTS = frozenset(

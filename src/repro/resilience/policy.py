@@ -168,12 +168,13 @@ class FailureReport:
     """One supervised incident: what failed, how often, and the recovery.
 
     ``site`` is where the incident happened (``"cell"`` for one simulation,
-    ``"worker"`` for a whole benchmark chunk's process, ``"family"`` for a
-    family replay).  ``causes`` holds the exception cause chains of every
+    ``"worker"`` for a whole benchmark chunk's process).  ``cell`` labels
+    it: a cell's label names benchmark, scheme, WPA and cache geometry
+    (``crc:way-placement:wpa16384:icache=16384/8/32``), a chunk's its
+    benchmark.  ``causes`` holds the exception cause chains of every
     failed attempt, oldest first.  ``recovery`` names the ladder rung that
-    finally succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``,
-    ``in-process``, or ``per-cell`` for a failed family — or ``none`` when
-    the incident was not recovered.
+    finally succeeded — ``retry``, ``engine-fallback``, ``fresh-worker``
+    or ``in-process`` — or ``none`` when the incident was not recovered.
     """
 
     site: str

@@ -18,6 +18,10 @@ every success:
 4. **In-process fallback**: a chunk that keeps dying in workers runs in the
    parent itself before the supervisor gives up.
 
+Every cell climbs the first two rungs on its own, in-process or in a
+worker: its vectorized kernel (under the default ``fast`` engine), then
+the reference engine.
+
 Completed reports are always adopted into the runner's memo and
 checkpointed to the grid's :class:`~repro.resilience.journal.ResumeJournal`
 *before* any failure surfaces, so a partial grid is never wasted work.
@@ -55,7 +59,6 @@ from repro.errors import (
     ResilienceError,
     RetriesExhausted,
     SanitizerError,
-    SchemeError,
 )
 from repro.resilience import chaos
 from repro.resilience.journal import (
@@ -95,11 +98,6 @@ class GridSummary:
     executed: Tuple[str, ...]
     failed: Tuple[str, ...]
     failures: Tuple[FailureReport, ...]
-    #: Planner decisions: families formed and the cells they covered.
-    #: Counts include retried chunk attempts (they describe planner
-    #: activity, not distinct cells).
-    families: int = 0
-    family_cells: int = 0
     #: The largest memory growth of any worker process over its at-spawn
     #: baseline (KB; proportional set size on Linux, so shared trace pages
     #: are billed fractionally).
@@ -111,13 +109,8 @@ class GridSummary:
 
 
 def _new_stats() -> Dict[str, Any]:
-    """Mutable execution-stats accumulator threaded through :func:`run_cells`."""
-    return {
-        "families": 0,
-        "family_cells": 0,
-        "peak_rss_kb": 0,
-        "store_degraded": None,
-    }
+    """Mutable accumulator of what workers report back to the parent."""
+    return {"peak_rss_kb": 0, "store_degraded": None}
 
 
 def _peak_rss_kb() -> int:
@@ -151,8 +144,6 @@ def _peak_rss_kb() -> int:
 
 
 def _merge_stats(into: Dict[str, Any], other: Dict[str, Any]) -> None:
-    into["families"] += other["families"]
-    into["family_cells"] += other["family_cells"]
     into["peak_rss_kb"] = max(into["peak_rss_kb"], other["peak_rss_kb"])
     degraded = other["store_degraded"]
     if degraded:
@@ -181,9 +172,16 @@ def run_cell(
 
     Raises :class:`~repro.errors.RetriesExhausted` (with the last
     underlying error chained) once every rung is spent; appends a
-    :class:`FailureReport` for both recovered and fatal incidents.
+    :class:`FailureReport` for both recovered and fatal incidents.  The
+    cell's label (its chaos key and ``FailureReport.cell``) names the cache
+    the way the journal's content key does, e.g.
+    ``crc:way-placement:wpa16384:icache=16384/8/32``.
     """
-    token = f"{cell.benchmark}:{cell.scheme}:wpa{cell.wpa_size}"
+    geometry = cell.machine.icache
+    token = (
+        f"{cell.benchmark}:{cell.scheme}:wpa{cell.wpa_size}"
+        f":icache={geometry.size_bytes}/{geometry.ways}/{geometry.line_size}"
+    )
     causes: List[str] = []
     attempts = 0
     downgraded = False
@@ -244,27 +242,6 @@ def run_cell(
             runner.engine = previous_engine
 
 
-# ---------------------------------------------------------------------------
-# Chunk execution: families first, then the per-cell ladder
-# ---------------------------------------------------------------------------
-def _plans_families(runner: Any) -> bool:
-    """Does this chunk replay families?
-
-    Yes when the runner's engine resolves to ``fast`` and the runner can
-    execute a family.  An invalid engine name (a :class:`SchemeError`)
-    answers no, so the per-cell path surfaces the proper error; any other
-    exception propagates.
-    """
-    if not hasattr(runner, "report_family"):
-        return False
-    from repro.sim.simulator import resolve_engine
-
-    try:
-        return resolve_engine(getattr(runner, "engine", None)) == "fast"
-    except SchemeError:
-        return False
-
-
 def run_cells(
     runner: Any,
     cells: Sequence["GridCell"],
@@ -272,57 +249,16 @@ def run_cells(
     failures: List[FailureReport],
     emit: Callable[[int, SimulationReport], None],
     fail: Callable[[int, BaseException], None],
-    stats: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Simulate a chunk of cells, replaying trace-sharing families at once.
+    """Simulate a chunk of cells, each through :func:`run_cell`.
 
     ``emit(index, report)`` is called for every completed cell and
     ``fail(index, error)`` for every cell that exhausted the ladder, both
-    with indices into ``cells``.  Under the ``fast`` engine, cells are
-    first coalesced into families (:func:`repro.engine.grid.plan_families`)
-    and each family replays with one trace traversal; a family that fails
-    for *any* reason — sanitizer trip, kernel bug, injected fault —
-    records a recovered :class:`FailureReport` and its members fall to the
-    per-cell retry/backoff/engine-fallback ladder of :func:`run_cell`.
-    Families never weaken supervision.  ``stats``, when given, accumulates
-    the planner decisions (families, cells covered) for
-    :class:`GridSummary`.
+    with indices into ``cells``.
     """
-    singles = list(range(len(cells)))
-    if len(cells) > 1 and _plans_families(runner):
-        from repro.engine.grid import plan_families
-
-        families, singles = plan_families(cells, runner._resolve_layout_policy)
-        for family in families:
-            members = [cells[index] for index in family.indices]
-            if stats is not None:
-                stats["families"] += 1
-                stats["family_cells"] += len(members)
-            try:
-                reports = runner.report_family(members)
-            except Exception as error:
-                failures.append(
-                    FailureReport(
-                        site="family",
-                        benchmark=family.benchmark,
-                        cell=(
-                            f"{family.benchmark}:{family.layout_policy.value}"
-                            f":{len(members)}-cell family"
-                        ),
-                        attempts=1,
-                        causes=tuple(cause_chain(error)),
-                        recovery="per-cell",
-                        recovered=True,
-                    )
-                )
-                singles.extend(family.indices)
-                continue
-            for index, report in zip(family.indices, reports):
-                emit(index, report)
-        singles.sort()
-    for index in singles:
+    for index, cell in enumerate(cells):
         try:
-            emit(index, run_cell(runner, cells[index], config, failures))
+            emit(index, run_cell(runner, cell, config, failures))
         except RetriesExhausted as error:
             fail(index, error)
 
@@ -344,8 +280,8 @@ def _chunk_worker_main(
     Sends ``(status, results, failures, error, stats)`` where ``results``
     maps chunk indices to finished reports — partial on failure, so the
     parent adopts whatever completed before anything went wrong — and
-    ``stats`` carries the chunk's planner decisions (see
-    :func:`_new_stats`).
+    ``stats`` carries the worker's memory growth and any cache-write
+    degradation (see :func:`_new_stats`).
     """
     rss_baseline = _peak_rss_kb()
     results: List[Tuple[int, SimulationReport]] = []
@@ -372,7 +308,7 @@ def _chunk_worker_main(
             nonlocal error
             error = f"{type(exc).__name__}: {exc}"
 
-        run_cells(runner, cells, config, failures, emit, fail, stats)
+        run_cells(runner, cells, config, failures, emit, fail)
         store = getattr(runner, "store", None)
         if store is not None and getattr(store, "writes_disabled", False):
             stats["store_degraded"] = str(store.root)
@@ -669,7 +605,7 @@ def supervise_grid(
             if first_error is None:
                 first_error = error
 
-        run_cells(runner, group, config, failures, emit, fail, stats)
+        run_cells(runner, group, config, failures, emit, fail)
         if journal is not None:
             journal.flush()
 
@@ -716,8 +652,6 @@ def supervise_grid(
         executed=tuple(sorted(executed)),
         failed=tuple(sorted(failed)),
         failures=tuple(failures),
-        families=stats["families"],
-        family_cells=stats["family_cells"],
         peak_worker_rss_kb=stats["peak_rss_kb"],
     )
     if failed:

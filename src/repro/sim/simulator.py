@@ -1,8 +1,10 @@
 """The simulation driver: program + layout + scheme + machine -> report.
 
-``Simulator.run_events`` is the narrow waist every experiment goes through:
-it instantiates a fresh fetch scheme, replays a line-event trace, prices the
-activity with the energy models, and wraps everything in a
+``Simulator.run_events`` is the narrow waist every experiment goes through,
+once per grid cell: it replays a line-event trace on the scheme's
+vectorized kernel (``fast`` engine, where one exists) or on a fresh fetch
+scheme object, prices the activity with the energy models
+(``Simulator.price``), and wraps everything in a
 :class:`~repro.sim.report.SimulationReport`.  The :func:`simulate`
 convenience function goes all the way from a program and layout (walking the
 CFG itself); the experiment harness instead reuses cached block traces and
@@ -33,10 +35,9 @@ from repro.trace.fetch import line_events_from_block_trace
 __all__ = ["Simulator", "resolve_engine", "scheme_options", "simulate"]
 
 #: Replay engine choices: ``fast`` (the default) uses a vectorized kernel
-#: where one exists and the reference scheme otherwise, and lets the grid
-#: planner replay cells sharing a trace as one family (see
-#: :mod:`repro.engine.family`); ``reference`` always runs the pure-Python
-#: scheme objects, the oracle every fast path is checked against.
+#: where one exists and the reference scheme otherwise; ``reference``
+#: always runs the pure-Python scheme objects, the oracle every fast path
+#: is checked against.
 _ENGINES = ("fast", "reference")
 
 
@@ -62,9 +63,7 @@ def scheme_options(
     """The validated option dict a scheme constructor/kernel takes.
 
     This is the single place the (machine, cell) -> scheme-options mapping
-    lives: ``Simulator.run_events`` uses it per replay and the family
-    planner uses it to decide family membership (an option set family
-    replay does not model keeps the cell on the per-cell engines).
+    lives; ``Simulator.run_events`` uses it per replay.
     """
     options: dict = {
         "itlb_entries": machine.itlb_entries,
@@ -182,10 +181,8 @@ class Simulator:
     ) -> SimulationReport:
         """Price already-computed counters into a :class:`SimulationReport`.
 
-        The pricing tail of :meth:`run_events`, factored out so family
-        replay (:mod:`repro.engine.family`, which produces counters for a
-        whole family at once) shares the energy/cycle models and the
-        sanitizer's energy cross-check with the per-cell paths.
+        The pricing tail of :meth:`run_events`: the energy and cycle models
+        plus the sanitizer's energy cross-check.
         """
         machine = self.machine
         cache_model = CacheEnergyModel(

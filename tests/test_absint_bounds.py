@@ -2,10 +2,9 @@
 
 :func:`repro.analysis.absint.bounds.footprint_bounds` claims that for
 any replay of a given event stream, every :class:`FetchCounters` field
-lies in ``[lower, upper]``.  The claim is checked against all three
-engine tiers — the reference schemes, the vectorized kernels, and family
-replay — on Hypothesis-generated streams over an adversarial option
-grid, plus:
+lies in ``[lower, upper]``.  The claim is checked against both engine
+tiers — the reference schemes and the vectorized kernels — on
+Hypothesis-generated streams over an adversarial option grid, plus:
 
 * **exactness** on structurally eviction-free (budget-one) streams,
   where the interval must collapse to a point;
@@ -21,17 +20,19 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings
 
+from repro.analysis.absint import bounds_for_options, energy_bounds, footprint_bounds
 from repro.cache.access import FetchCounters
 from repro.energy.cache_model import CacheEnergyModel
 from repro.energy.params import EnergyParams
-from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters
-from repro.analysis.absint import bounds_for_options, energy_bounds, footprint_bounds
-from tests.scheme_helpers import TINY_GEOMETRY, events_from
-from tests.test_engine_family import MIXED_FAMILY, reference_counters
+from tests.scheme_helpers import (
+    MIXED_CONFIGS,
+    TINY_GEOMETRY,
+    events_from,
+    reference_counters,
+)
 from tests.test_schemes_equivalence import event_streams
 
 
@@ -41,11 +42,9 @@ def assert_bracketed(bounds, counters, label):
     assert violations == [], f"{label}: {rendered}"
 
 
-def bounds_for(member, events):
-    bounds = bounds_for_options(
-        member.scheme, events, TINY_GEOMETRY, dict(member.options)
-    )
-    assert bounds is not None, f"{member} should be modelled"
+def bounds_for(scheme, options, events):
+    bounds = bounds_for_options(scheme, events, TINY_GEOMETRY, dict(options))
+    assert bounds is not None, f"{scheme} {options} should be modelled"
     return bounds
 
 
@@ -54,31 +53,22 @@ class TestBracketing:
     @settings(max_examples=50, deadline=None)
     def test_reference_and_vector_tiers(self, specs):
         events = events_from(specs)
-        for member in MIXED_FAMILY:
-            bounds = bounds_for(member, events)
+        for scheme, options in MIXED_CONFIGS:
+            bounds = bounds_for(scheme, options, events)
             assert_bracketed(
-                bounds, reference_counters(member, events), f"reference {member}"
+                bounds,
+                reference_counters(scheme, options, events),
+                f"reference {scheme} {options}",
             )
-            kernel = fast_counters(
-                member.scheme, events, TINY_GEOMETRY, **dict(member.options)
-            )
-            assert_bracketed(bounds, kernel, f"vector {member}")
-
-    @given(event_streams())
-    @settings(max_examples=50, deadline=None)
-    def test_family_tier(self, specs):
-        events = events_from(specs)
-        family = family_counters(events, TINY_GEOMETRY, MIXED_FAMILY)
-        for member, counters in zip(MIXED_FAMILY, family):
-            bounds = bounds_for(member, events)
-            assert_bracketed(bounds, counters, f"family {member}")
+            kernel = fast_counters(scheme, events, TINY_GEOMETRY, **options)
+            assert_bracketed(bounds, kernel, f"vector {scheme} {options}")
 
     @given(event_streams())
     @settings(max_examples=50, deadline=None)
     def test_bracket_is_ordered(self, specs):
         events = events_from(specs)
-        for member in MIXED_FAMILY:
-            bounds = bounds_for(member, events)
+        for scheme, options in MIXED_CONFIGS:
+            bounds = bounds_for(scheme, options, events)
             for field in dataclasses.fields(FetchCounters):
                 low = getattr(bounds.lower, field.name)
                 high = getattr(bounds.upper, field.name)
@@ -98,7 +88,7 @@ class TestExactness:
         assert bounds.lower.evictions == 0
         assert_bracketed(
             bounds,
-            reference_counters(BatchMember("baseline", {"page_size": 16}), events),
+            reference_counters("baseline", {"page_size": 16}, events),
             "baseline budget-one",
         )
 
@@ -113,7 +103,7 @@ class TestExactness:
         assert bounds.lower != bounds.upper
         assert_bracketed(
             bounds,
-            reference_counters(BatchMember("baseline", {"page_size": 16}), events),
+            reference_counters("baseline", {"page_size": 16}, events),
             "baseline conflicted",
         )
 
@@ -137,8 +127,7 @@ class TestNeverHitRefinement:
         # Every access of a proven never-hit line is a miss: the refined
         # lower bound is the whole stream, meeting the upper bound.
         assert refined.lower.misses == len(self.THRASH)
-        member = BatchMember("way-placement", dict(kwargs))
-        actual = reference_counters(member, events)
+        actual = reference_counters("way-placement", kwargs, events)
         assert_bracketed(refined, actual, "refined thrash")
         assert actual.misses == len(self.THRASH)
 
@@ -195,14 +184,15 @@ class TestOptionGating:
             "way-placement", self.EVENTS, TINY_GEOMETRY, options
         )
         assert bounds is not None
-        member = BatchMember("way-placement", options)
-        assert_bracketed(bounds, reference_counters(member, self.EVENTS), "gated")
+        assert_bracketed(
+            bounds, reference_counters("way-placement", options, self.EVENTS), "gated"
+        )
 
 
 def test_violations_flag_escaped_counters():
     events = events_from([(0, 1), (64, 1)])
     bounds = footprint_bounds("baseline", events, TINY_GEOMETRY, page_size=16)
-    counters = reference_counters(BatchMember("baseline", {"page_size": 16}), events)
+    counters = reference_counters("baseline", {"page_size": 16}, events)
     assert bounds.violations(counters) == []
     counters.misses += 100
     violations = bounds.violations(counters)
@@ -215,10 +205,10 @@ def test_violations_flag_escaped_counters():
 def test_energy_bracket_contains_the_priced_run(specs):
     events = events_from(specs)
     params = EnergyParams()
-    for member in MIXED_FAMILY:
-        wayhint = member.scheme == "way-placement"
+    for scheme, options in MIXED_CONFIGS:
+        wayhint = scheme == "way-placement"
         model = CacheEnergyModel(TINY_GEOMETRY, params, wayhint=wayhint)
-        bounds = bounds_for(member, events)
+        bounds = bounds_for(scheme, options, events)
         low, high = energy_bounds(bounds, model)
-        actual = model.energy(reference_counters(member, events))
-        assert low.icache_pj <= actual.icache_pj <= high.icache_pj, member
+        actual = model.energy(reference_counters(scheme, options, events))
+        assert low.icache_pj <= actual.icache_pj <= high.icache_pj, (scheme, options)

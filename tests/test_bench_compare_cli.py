@@ -26,8 +26,8 @@ from repro.experiments.bench import (
 def _metrics(**overrides):
     """A full metrics block with every guarded field present."""
     base = {
-        "grid.wpa_sweep_16": {"family_speedup": 4.0},
-        "grid.wpa_sweep_256": {"family_speedup": 10.0},
+        "replay.baseline": {"vector_speedup": 4.0},
+        "replay.way-placement": {"vector_speedup": 10.0},
     }
     for metric, fields in overrides.items():
         base[metric] = fields
@@ -44,33 +44,33 @@ class TestCompareSnapshots:
     def test_improvement_and_small_drift_pass(self):
         current = _metrics(
             **{
-                "grid.wpa_sweep_16": {"family_speedup": 9.0},
-                "grid.wpa_sweep_256": {"family_speedup": 8.5},
+                "replay.baseline": {"vector_speedup": 9.0},
+                "replay.way-placement": {"vector_speedup": 8.5},
             }
         )
         assert compare_snapshots(current, _metrics(), tolerance=0.20).ok
 
     def test_drop_beyond_tolerance_fails(self):
-        current = _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 3.0}})
+        current = _metrics(**{"replay.baseline": {"vector_speedup": 3.0}})
         comparison = compare_snapshots(current, _metrics(), tolerance=0.20)
         assert not comparison.ok
-        assert any("grid.wpa_sweep_16" in failure for failure in comparison.failures)
+        assert any("replay.baseline" in failure for failure in comparison.failures)
         assert "FAILED" in comparison.render()
 
     def test_drop_at_the_floor_passes(self):
-        current = _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 3.2}})
+        current = _metrics(**{"replay.baseline": {"vector_speedup": 3.2}})
         assert compare_snapshots(current, _metrics(), tolerance=0.20).ok
 
     def test_metric_missing_from_current_fails(self):
         current = _metrics()
-        del current["grid.wpa_sweep_256"]
+        del current["replay.way-placement"]
         comparison = compare_snapshots(current, _metrics())
         assert not comparison.ok
         assert any("missing" in failure for failure in comparison.failures)
 
     def test_metric_missing_from_baseline_is_skipped(self):
         baseline = _metrics()
-        del baseline["grid.wpa_sweep_256"]
+        del baseline["replay.way-placement"]
         comparison = compare_snapshots(_metrics(), baseline)
         assert comparison.ok
         assert any(v.status == "SKIP" for v in comparison.verdicts)
@@ -127,7 +127,7 @@ class TestCli:
         current = _snapshot(
             tmp_path,
             "current.json",
-            _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 1.0}}),
+            _metrics(**{"replay.baseline": {"vector_speedup": 1.0}}),
         )
         baseline = _snapshot(tmp_path, "baseline.json", _metrics())
         assert main(["bench", "compare", current, "--baseline", baseline]) == 1
@@ -137,7 +137,7 @@ class TestCli:
         current = _snapshot(
             tmp_path,
             "current.json",
-            _metrics(**{"grid.wpa_sweep_16": {"family_speedup": 3.9}}),
+            _metrics(**{"replay.baseline": {"vector_speedup": 3.9}}),
         )
         baseline = _snapshot(tmp_path, "baseline.json", _metrics())
         argv = ["bench", "compare", current, "--baseline", baseline]

@@ -5,8 +5,9 @@ Trace arrays arrive shared — mmap'd store entries
 immutable inputs.  Replaying on arrays with the ``writeable`` flag
 dropped turns any accidental in-place mutation into a hard
 ``ValueError``; equality against the writable replay pins bit-identical
-results on top.  All three tiers are covered: the reference schemes, the
-vectorized per-cell kernels, and family replay.
+results on top.  Both tiers are covered: the reference schemes and the
+vectorized per-cell kernels, the latter at the tiny and the direct-mapped
+geometry.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.cache.geometry import CacheGeometry
-from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters
 from repro.layout import original_layout
 from repro.schemes.baseline import BaselineScheme
@@ -25,14 +24,14 @@ from repro.schemes.way_placement import WayPlacementScheme
 from repro.trace.events import SEQUENTIAL_SLOT, LineEventTrace
 from repro.trace.executor import BlockTrace, CfgWalker
 from repro.trace.fetch import line_events_from_block_trace
-from tests.scheme_helpers import TINY_GEOMETRY, events_from
+from tests.scheme_helpers import DIRECT_MAPPED, TINY_GEOMETRY, events_from
 
-#: Baseline and a WPA sweep together, exercising every family replay path.
-FAMILY = [
-    BatchMember("baseline", {"page_size": 16}),
-    BatchMember("way-placement", {"wpa_size": 0, "page_size": 16}),
-    BatchMember("way-placement", {"wpa_size": 64, "page_size": 16}),
-    BatchMember("way-placement", {"wpa_size": 256, "page_size": 16}),
+#: Baseline and a WPA sweep together, exercising both kernels.
+CONFIGS = [
+    ("baseline", {"page_size": 16}),
+    ("way-placement", {"wpa_size": 0, "page_size": 16}),
+    ("way-placement", {"wpa_size": 64, "page_size": 16}),
+    ("way-placement", {"wpa_size": 256, "page_size": 16}),
 ]
 
 
@@ -75,30 +74,21 @@ def test_reference_schemes_accept_frozen_traces(events):
         assert make_scheme().run(frozen) == make_scheme().run(events)
 
 
+def assert_kernels_accept_frozen(events, geometry):
+    frozen = frozen_events(events)
+    for scheme, options in CONFIGS:
+        want = fast_counters(scheme, events, geometry, **options)
+        got = fast_counters(scheme, frozen, geometry, **options)
+        assert got == want, f"frozen replay diverged for {scheme} {options}"
+
+
 def test_fast_kernels_accept_frozen_traces(events):
-    frozen = frozen_events(events)
-    for member in FAMILY:
-        options = dict(member.options)
-        want = fast_counters(member.scheme, events, TINY_GEOMETRY, **options)
-        got = fast_counters(member.scheme, frozen, TINY_GEOMETRY, **options)
-        assert got == want, f"frozen replay diverged for {member}"
+    assert_kernels_accept_frozen(events, TINY_GEOMETRY)
 
 
-def test_family_tier_accepts_frozen_traces(events):
-    frozen = frozen_events(events)
-    assert family_counters(frozen, TINY_GEOMETRY, FAMILY) == family_counters(
-        events, TINY_GEOMETRY, FAMILY
-    )
-
-
-def test_family_tier_accepts_frozen_direct_mapped_traces(events):
-    # One way per set: runs split and merge on nearly every fill, so the
-    # snapshot bookkeeping touches the trace far more often.
-    direct_mapped = CacheGeometry(64, 1, 16)
-    frozen = frozen_events(events)
-    assert family_counters(frozen, direct_mapped, FAMILY) == family_counters(
-        events, direct_mapped, FAMILY
-    )
+def test_fast_kernels_accept_frozen_direct_mapped_traces(events):
+    # One way per set: every miss evicts, and mandated fills collide.
+    assert_kernels_accept_frozen(events, DIRECT_MAPPED)
 
 
 def test_line_event_derivation_accepts_frozen_block_traces(

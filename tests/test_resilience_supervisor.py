@@ -20,6 +20,8 @@ from repro.resilience.chaos import ChaosConfig, ChaosRule
 from repro.resilience.journal import ResumeJournal, cell_content_key, grid_digest
 from repro.resilience.policy import FallbackPolicy, ResilienceConfig
 from repro.resilience.supervisor import run_cell
+from repro.sim.machine import XSCALE_BASELINE
+from repro.sim.simulator import resolve_engine
 
 KB = 1024
 
@@ -96,6 +98,24 @@ class TestRunCell:
         assert report.counters.fetches > 0
         assert failures[0].recovery == "engine-fallback"
         assert failures[0].attempts == 3  # 1 + 1 retry + 1 fallback
+
+    def test_failure_report_names_the_cache(self):
+        # The same benchmark, scheme and WPA in two caches: a cell rule
+        # matching one cache's label fails exactly that cell, and its
+        # incident says which cache it was.
+        small = XSCALE_BASELINE.with_icache(16 * KB, 8)
+        cells = [
+            GridCell("crc", "way-placement", wpa_size=8 * KB),
+            GridCell("crc", "way-placement", small, wpa_size=8 * KB),
+        ]
+        runner = make_runner(resilience=ResilienceConfig(retries=2, backoff_s=0.0))
+        rule = ChaosRule("cell", "raise", match=":icache=16384/8/32", times=1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            got = runner.run_grid(cells)
+        assert got == make_runner().run_grid(cells)
+        [incident] = runner.last_failures
+        assert incident.recovered and incident.recovery == "retry"
+        assert incident.cell == "crc:way-placement:wpa8192:icache=16384/8/32"
 
     def test_static_errors_fail_immediately(self):
         runner = make_runner()
@@ -244,19 +264,19 @@ class TestLocalPool:
             store_module._warned_write_failure = False
 
 
-class TestFamilyChaos:
-    """Worker replacement + the family→per-cell ladder, all in one
-    supervised parallel run."""
+class TestLadderChaos:
+    """Worker replacement + a kernel sanitizer trip in the replacement,
+    all in one supervised parallel run."""
 
-    FAMILY_CELLS = [
+    SWEEP_CELLS = [
         GridCell("crc", "way-placement", wpa_size=4 * KB),
         GridCell("crc", "way-placement", wpa_size=8 * KB),
         GridCell("sha", "way-placement", wpa_size=4 * KB),
         GridCell("sha", "way-placement", wpa_size=8 * KB),
     ]
 
-    def test_hung_worker_is_replaced_and_family_degrades(self):
-        want = make_runner(engine="reference").run_grid(self.FAMILY_CELLS, jobs=1)
+    def test_hung_worker_and_kernel_trip_recover(self):
+        want = make_runner(engine="reference").run_grid(self.SWEEP_CELLS, jobs=1)
         runner = make_runner(
             resilience=ResilienceConfig(retries=2, backoff_s=0.01, timeout_s=2.0),
         )
@@ -265,20 +285,18 @@ class TestFamilyChaos:
             rules=(
                 # the first crc worker hangs until the supervisor kills it
                 ChaosRule("worker", "hang", match="crc@1", times=1, delay_s=60.0),
-                # in its replacement, the family replay fails once and its
-                # cells fall to per-cell replay
-                ChaosRule("family", "raise", match="crc", times=1),
+                # in its replacement, one way-placement kernel trips the
+                # sanitizer and its cell falls back to the reference engine
+                ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=1),
             ),
         )
         with chaos.active(config):
-            got = runner.run_grid(self.FAMILY_CELLS, jobs=2)
+            got = runner.run_grid(self.SWEEP_CELLS, jobs=2)
         assert got == want
         incidents = runner.last_failures
         assert all(f.recovered for f in incidents)
         recoveries = {f.recovery for f in incidents}
-        assert {"fresh-worker", "per-cell"} <= recoveries
-        # the sha family replayed as one family in its worker
-        assert runner.last_grid.families >= 1
+        assert {"fresh-worker", "engine-fallback"} <= recoveries
         causes = " ".join(c for f in incidents for c in f.causes)
         assert "timed out" in causes
 
@@ -289,7 +307,7 @@ class TestChaosDrill:
 
         assert build_rules(13) == build_rules(13)
         sites = {rule.site for rule in build_rules(13)}
-        assert {"worker", "family", "kernel", "cell", "store.save"} == sites
+        assert {"worker", "kernel", "cell", "store.save"} == sites
 
     def test_seeded_drill_stays_bit_identical(self):
         from repro.resilience.drill import run_drill
@@ -408,25 +426,44 @@ class TestRunnerSurface:
         assert runner.last_grid.executed == ()
 
 
-class TestFamilyPlanning:
-    def test_default_runner_plans_families_and_bad_engine_does_not(self):
-        from repro.resilience.supervisor import _plans_families
+class TestPerCellGrid:
+    def test_default_runner_sweep_matches_reference(self):
+        # No engine argument: every cell of a WPA sweep replays on its fast
+        # kernel, none falls back, and each equals the reference engine.
+        cells = [GridCell("crc", "baseline")] + [
+            GridCell("crc", "way-placement", wpa_size=size * KB)
+            for size in (4, 8, 16)
+        ]
+        runner = make_runner()
+        assert resolve_engine(runner.engine) == "fast"
+        reports = runner.run_grid(cells)
+        assert runner.last_failures == []
+        assert len(runner.last_grid.executed) == len(cells)
 
-        assert _plans_families(make_runner()) is True
-        # an unknown engine name is a SchemeError: per-cell replay reports it
-        assert _plans_families(make_runner(engine="bogus")) is False
+        reference_reports = make_runner(engine="reference").run_grid(cells)
+        for cell, report, reference_report in zip(cells, reports, reference_reports):
+            assert report.counters == reference_report.counters, cell
+            assert report.breakdown == reference_report.breakdown, cell
+            assert report.cycles == reference_report.cycles, cell
 
-    def test_unexpected_error_propagates(self, monkeypatch):
-        import repro.sim.simulator as simulator
-        from repro.resilience.supervisor import _plans_families
-
-        def broken(engine):
-            raise RuntimeError("engine table corrupted")
-
-        monkeypatch.setattr(simulator, "resolve_engine", broken)
-        # not a SchemeError: it must surface, not silently disable families
-        with pytest.raises(RuntimeError, match="engine table corrupted"):
-            _plans_families(make_runner())
+    def test_sweep_in_two_geometries_matches_reference(self):
+        # A Figure 6 style grid: each cell replays on its own kernel, the
+        # cells of one geometry sharing the per-trace arrays.
+        small = XSCALE_BASELINE.with_icache(16 * KB, 4)
+        cells = [
+            GridCell("crc", "baseline"),
+            GridCell("crc", "baseline", small),
+        ] + [
+            GridCell("crc", "way-placement", machine, wpa_size=size * KB)
+            for machine in (XSCALE_BASELINE, small)
+            for size in (4, 8, 16)
+        ]
+        reports = make_runner().run_grid(cells)
+        reference_reports = make_runner(engine="reference").run_grid(cells)
+        for cell, report, reference_report in zip(cells, reports, reference_reports):
+            assert report.counters == reference_report.counters, cell
+            assert report.breakdown == reference_report.breakdown, cell
+            assert report.cycles == reference_report.cycles, cell
 
 
 class TestCliFlags:

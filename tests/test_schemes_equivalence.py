@@ -5,19 +5,31 @@ event streams and check the accounting identities the energy and timing
 models rely on.
 """
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.access import FetchCounters
 from repro.cache.geometry import CacheGeometry
 from repro.engine.kernels import fast_counters
+from repro.errors import SchemeError
 from repro.schemes.baseline import BaselineScheme
 from repro.schemes.filter_cache import FilterCacheScheme
 from repro.schemes.way_memoization import WayMemoizationScheme
 from repro.schemes.way_placement import WayPlacementScheme
 from repro.schemes.way_prediction import WayPredictionScheme
 from repro.trace.events import SEQUENTIAL_SLOT, LineEventTrace
-from tests.scheme_helpers import TINY_GEOMETRY, events_from
+from tests.scheme_helpers import (
+    DIRECT_MAPPED,
+    MIXED_CONFIGS,
+    SPARSE_SWEEP,
+    TINY_GEOMETRY,
+    events_from,
+    reference_counters,
+)
 
 
 @st.composite
@@ -156,6 +168,7 @@ KERNEL_GEOMETRIES = [
     CacheGeometry(512, 8, 16),
     CacheGeometry(1024, 4, 32),
     CacheGeometry(2048, 32, 32),
+    DIRECT_MAPPED,
 ]
 
 
@@ -273,6 +286,103 @@ def test_fast_counters_declines_unknown_schemes_and_options():
     assert (
         fast_counters("way-placement", events, TINY_GEOMETRY, adaptive=True) is None
     )
+
+
+# ---------------------------------------------------------------------------
+# The adversarial option grid (tests.scheme_helpers): every configuration's
+# kernel against its reference scheme, field by field.
+# ---------------------------------------------------------------------------
+
+OPTION_GRID = tuple(MIXED_CONFIGS) + tuple(SPARSE_SWEEP)
+
+
+def assert_kernels_match_reference(events, geometry, configs=OPTION_GRID):
+    for scheme, options in configs:
+        kernel = fast_counters(scheme, events, geometry, **options)
+        reference = reference_counters(scheme, options, events, geometry)
+        diverged = [
+            field.name
+            for field in dataclasses.fields(FetchCounters)
+            if getattr(kernel, field.name) != getattr(reference, field.name)
+        ]
+        assert not diverged, f"{scheme} {options} diverges in {diverged}"
+
+
+def seeded_stream(seed):
+    """600 events over 120 lines with no adjacent repeats."""
+    rng = random.Random(seed)
+    specs = []
+    previous = None
+    for _ in range(600):
+        line = rng.randrange(120)
+        if line == previous:
+            line = (line + 1) % 120
+        previous = line
+        specs.append(
+            (line * 16, rng.randint(1, 8), rng.choice([SEQUENTIAL_SLOT, 0, 1, 2, 3]))
+        )
+    return events_from(specs)
+
+
+@given(event_streams())
+@settings(max_examples=60, deadline=None)
+def test_option_grid_kernels_match_reference(specs):
+    assert_kernels_match_reference(events_from(specs), TINY_GEOMETRY)
+
+
+@given(event_streams())
+@settings(max_examples=40, deadline=None)
+def test_option_grid_kernels_match_reference_direct_mapped(specs):
+    assert_kernels_match_reference(events_from(specs), DIRECT_MAPPED, MIXED_CONFIGS)
+
+
+@given(event_streams())
+@settings(max_examples=40, deadline=None)
+def test_sparse_sweep_kernels_match_reference_direct_mapped(specs):
+    # With one way per set every fill evicts, and the sweep's gaps and
+    # out-of-extent thresholds leave some WPA sizes indistinguishable.
+    assert_kernels_match_reference(events_from(specs), DIRECT_MAPPED, SPARSE_SWEEP)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("geometry", [TINY_GEOMETRY, DIRECT_MAPPED])
+def test_option_grid_seeded_streams(seed, geometry):
+    assert_kernels_match_reference(seeded_stream(seed), geometry)
+
+
+def test_each_config_alone_on_a_short_stream():
+    # A revisit, a fill into a second set and a far line: every config of
+    # the grid, one at a time, on a stream small enough to trace by hand.
+    events = events_from([(0, 1), (16, 2), (0, 1), (96, 3)])
+    for config in OPTION_GRID:
+        assert_kernels_match_reference(events, TINY_GEOMETRY, [config])
+
+
+def test_option_grid_on_empty_trace():
+    assert_kernels_match_reference(events_from([]), TINY_GEOMETRY)
+
+
+def test_option_grid_on_empty_trace_direct_mapped():
+    assert_kernels_match_reference(events_from([]), DIRECT_MAPPED)
+
+
+def test_kernels_reject_nonzero_wpa_base():
+    events = events_from([(0, 1)])
+    with pytest.raises(SchemeError, match="beginning"):
+        fast_counters(
+            "way-placement",
+            events,
+            TINY_GEOMETRY,
+            wpa_size=64,
+            page_size=16,
+            wpa_base=64,
+        )
+
+
+def test_kernels_reject_negative_wpa_size():
+    events = events_from([(0, 1)])
+    with pytest.raises(SchemeError):
+        fast_counters("way-placement", events, TINY_GEOMETRY, wpa_size=-16, page_size=16)
 
 
 def test_empty_trace_matches_reference():

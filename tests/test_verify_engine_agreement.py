@@ -2,11 +2,10 @@
 
 Every bundled workload's evaluation trace replays through the vectorized
 ``engine.kernels`` and then through the full post-hoc sanitizer array
-checks — zero violations expected — and through family replay: a WPA
-sweep family must come back from ``family_counters`` bit-identical to
-the per-cell kernels on every workload — and every tier's counters must
-sit inside the abstract interpretation's static bounds (the S008
-invariant).  One session-scoped
+checks — zero violations expected; a WPA sweep's per-cell kernel
+counters must come back bit-identical to the reference schemes on every
+workload; and both tiers' counters must sit inside the abstract
+interpretation's static bounds (the S008 invariant).  One session-scoped
 runner serves all parametrized cases so profiling, layout, and trace
 generation happen once per benchmark.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.family import BatchMember, family_counters
 from repro.engine.kernels import fast_counters, way_placement_counters
 from repro.errors import SanitizerError
 from repro.experiments.runner import ExperimentRunner
@@ -59,9 +57,13 @@ def test_kernels_satisfy_every_invariant(agreement_runner, workload):
     assert violations == []
 
 
+def _scheme_class(scheme):
+    return BaselineScheme if scheme == "baseline" else WayPlacementScheme
+
+
 @pytest.mark.parametrize("workload", benchmark_names())
-def test_family_tiers_agree_with_the_kernels(agreement_runner, workload):
-    """family replay ≡ per-cell kernels on every bundled workload's trace."""
+def test_kernels_agree_with_the_reference_schemes(agreement_runner, workload):
+    """per-cell kernels ≡ reference schemes over a WPA sweep, every workload."""
     events = agreement_runner.events(
         workload, LayoutPolicy.WAY_PLACEMENT, MACHINE.icache.line_size
     )
@@ -70,31 +72,29 @@ def test_family_tiers_agree_with_the_kernels(agreement_runner, workload):
         "page_size": MACHINE.page_size,
         "itlb_entries": MACHINE.itlb_entries,
     }
-    members = [
-        BatchMember("baseline", dict(shared)),
-        BatchMember("way-placement", {"wpa_size": 4096, **shared}),
-        BatchMember(
+    configs = [
+        ("baseline", dict(shared)),
+        ("way-placement", {"wpa_size": 4096, **shared}),
+        (
             "way-placement",
             {"wpa_size": align_up(max(fitted // 2, 4096), MACHINE.page_size), **shared},
         ),
-        BatchMember("way-placement", {"wpa_size": fitted, **shared}),
+        ("way-placement", {"wpa_size": fitted, **shared}),
     ]
-    family = family_counters(events, MACHINE.icache, members)
-    for member, counters in zip(members, family):
-        kernel = fast_counters(
-            member.scheme, events, MACHINE.icache, **dict(member.options)
-        )
-        assert counters == kernel, f"family != kernel for {member} on {workload}"
+    for scheme, options in configs:
+        kernel = fast_counters(scheme, events, MACHINE.icache, **options)
+        reference = _scheme_class(scheme)(MACHINE.icache, **options).run(events)
+        assert kernel == reference, f"{scheme} {options} diverges on {workload}"
 
 
 @pytest.mark.parametrize("workload", benchmark_names())
 def test_static_bounds_bracket_every_engine_tier(agreement_runner, workload):
-    """The absint counter bounds contain all three tiers' replay results.
+    """The absint counter bounds contain both tiers' replay results.
 
     This is the S008 invariant exercised explicitly: for the baseline and
     the fitted way-placement configuration, every FetchCounters field from
-    the reference schemes, the vectorized kernels, and family replay must
-    land inside the static ``[lower, upper]`` bracket.
+    the reference schemes and the vectorized kernels must land inside the
+    static ``[lower, upper]`` bracket.
     """
     from repro.analysis.absint import bounds_for_options
 
@@ -105,25 +105,19 @@ def test_static_bounds_bracket_every_engine_tier(agreement_runner, workload):
         "page_size": MACHINE.page_size,
         "itlb_entries": MACHINE.itlb_entries,
     }
-    members = [
-        BatchMember("baseline", dict(shared)),
-        BatchMember(
+    configs = [
+        ("baseline", dict(shared)),
+        (
             "way-placement",
             {"wpa_size": _fitted_wpa(agreement_runner, workload), **shared},
         ),
     ]
-    family = family_counters(events, MACHINE.icache, members)
-    for member, family_result in zip(members, family):
-        options = dict(member.options)
-        bounds = bounds_for_options(member.scheme, events, MACHINE.icache, options)
-        assert bounds is not None, f"{member} must be modelled"
-        scheme_cls = (
-            BaselineScheme if member.scheme == "baseline" else WayPlacementScheme
-        )
+    for scheme, options in configs:
+        bounds = bounds_for_options(scheme, events, MACHINE.icache, options)
+        assert bounds is not None, f"{scheme} {options} must be modelled"
         tiers = {
-            "reference": scheme_cls(MACHINE.icache, **options).run(events),
-            "fast": fast_counters(member.scheme, events, MACHINE.icache, **options),
-            "family": family_result,
+            "reference": _scheme_class(scheme)(MACHINE.icache, **options).run(events),
+            "fast": fast_counters(scheme, events, MACHINE.icache, **options),
         }
         for tier, counters in tiers.items():
             violations = bounds.violations(counters)
