@@ -248,8 +248,8 @@ class AnalysisContext:
     page_size: Optional[int] = None
     energy: Optional[Mapping[str, float]] = None
     grid_cells: Optional[Tuple[Any, ...]] = None
-    #: Raw resilience settings (``retries``, ``timeout_s``, ``backoff_s``,
-    #: ``fallback``) from a config file or a ResilienceConfig, unvalidated.
+    #: Raw resilience settings (``retries``, ``timeout_s``) from a config
+    #: file or a ResilienceConfig, unvalidated.
     resilience: Optional[Mapping[str, Any]] = None
     _cache: Dict[str, Any] = field(default_factory=dict, repr=False)
 

@@ -174,7 +174,7 @@ def check_resilience_config(context: AnalysisContext) -> Iterator[Finding]:
             f"ever succeed",
             "raise timeout_s (or drop it) so retried attempts get to run",
         )
-    for name in ("retries", "backoff_s", "timeout_s"):
+    for name in ("retries", "timeout_s"):
         value = settings.get(name)
         if value is not None and value < 0:
             yield Finding(
@@ -183,10 +183,3 @@ def check_resilience_config(context: AnalysisContext) -> Iterator[Finding]:
                 f"(the runner rejects this config outright)",
                 f"use a non-negative {name}",
             )
-    fallback = settings.get("fallback")
-    if fallback is not None and fallback not in ("none", "reference"):
-        yield Finding(
-            _config_location(context, "fallback"),
-            f"unknown fallback policy {fallback!r}",
-            "choose 'reference' (bit-identical engine degradation) or 'none'",
-        )

@@ -10,8 +10,8 @@ Commands
     Regenerate a figure (optionally on a benchmark subset).  Grid commands
     (these, ``report`` and ``export``) run one supervised grid, in-process
     or on ``--jobs`` workers, and honour the supervision flags at any
-    ``--jobs`` — ``--retries``, ``--timeout``, ``--resume``,
-    ``--fallback-policy`` — described in docs/robustness.md.
+    ``--jobs`` — ``--retries``, ``--timeout``, ``--resume`` — described
+    in docs/robustness.md.
 ``simulate``
     Run one (benchmark, scheme, geometry, WPA) combination and print the
     normalised result plus the activity counters behind it.
@@ -61,11 +61,7 @@ from repro.experiments.formatting import render_table
 from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
 from repro.layout.wpa_select import choose_wpa_size
-from repro.resilience.policy import (
-    DEFAULT_RESILIENCE,
-    FallbackPolicy,
-    ResilienceConfig,
-)
+from repro.resilience.policy import DEFAULT_RESILIENCE, ResilienceConfig
 from repro.sim.machine import XSCALE_BASELINE, table1_rows
 from repro.workloads.mibench import MIBENCH_BENCHMARKS, benchmark_names
 
@@ -359,7 +355,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "extra attempts per failing grid cell / worker chunk "
+            "extra worker attempts per crashed or timed-out chunk "
             f"(default {DEFAULT_RESILIENCE.retries}; see docs/robustness.md)"
         ),
     )
@@ -378,17 +374,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             "journal, re-executing only the missing cells"
         ),
     )
-    parser.add_argument(
-        "--fallback-policy",
-        default=None,
-        choices=[policy.value for policy in FallbackPolicy],
-        help=(
-            "engine degradation on kernel/sanitizer failure: 'reference' "
-            "re-runs the cell on the bit-identical reference schemes, "
-            "'none' disables the fallback (default "
-            f"{DEFAULT_RESILIENCE.fallback.value})"
-        ),
-    )
 
 
 def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
@@ -396,8 +381,7 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
     retries = getattr(args, "retries", None)
     timeout = getattr(args, "timeout", None)
     resume = getattr(args, "resume", False)
-    fallback = getattr(args, "fallback_policy", None)
-    if retries is None and timeout is None and not resume and fallback is None:
+    if retries is None and timeout is None and not resume:
         return None
     config = DEFAULT_RESILIENCE
     if retries is not None:
@@ -406,8 +390,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         config = dataclasses.replace(config, timeout_s=timeout)
     if resume:
         config = dataclasses.replace(config, resume=True)
-    if fallback is not None:
-        config = config.with_fallback(fallback)
     return config.validate()
 
 
@@ -661,8 +643,8 @@ def _config_lint_context(path: str):
 
     Recognised keys: ``cache`` ({size_kb, ways, line_bytes, address_bits}),
     ``energy`` (EnergyParams field overrides), ``wpa_kb``, ``page_kb``,
-    ``resilience`` ({retries, timeout_s, backoff_s, fallback} — the
-    supervised-grid settings, linted by rule C005), all optional; missing
+    ``resilience`` ({retries, timeout_s} — the supervised-grid
+    settings, linted by rule C005), all optional; missing
     pieces fall back to the paper's baseline.
     """
     from repro.analysis import AnalysisContext, GeometrySpec

@@ -5,9 +5,9 @@ exactly the argument tuple of :meth:`ExperimentRunner.report`.  Every
 experiment hands its cells to
 :meth:`~repro.experiments.runner.ExperimentRunner.run_grid`, which runs
 them under the supervisor (:mod:`repro.resilience.supervisor`) at any
-``jobs``: retry/backoff, engine fallback, worker crash isolation and
-checkpoint–resume, in-process at ``jobs=1`` and on a local worker pool,
-chunked by benchmark, otherwise.  Each cell replays on its own — the
+``jobs``: engine fallback, worker crash isolation and checkpoint–resume,
+in-process at ``jobs=1`` and on a local worker pool, chunked by
+benchmark, otherwise.  Each cell replays on its own — the
 vectorized kernel where one exists, else the reference scheme — over the
 per-trace arrays that cells sharing a trace and geometry reuse
 (:mod:`repro.engine.arrays`).

@@ -25,6 +25,9 @@ Safety properties:
   entry that cannot even be deleted (read-only cache) is quarantined to
   ``<cache>/quarantine/`` so it can never be loaded again (``stats()``
   reports the quarantine, ``clear()`` empties it);
+* ``clear()`` also deletes the supervised grids' resume journals under
+  ``<cache>/grids/``, so a ``--resume`` after a clear re-executes its
+  cells instead of adopting reports from before the clear;
 * writes go through a uniquely named temp file/directory plus
   ``os.replace``, so concurrent workers (the parallel grid runner) never
   observe partial entries;
@@ -442,9 +445,10 @@ class TraceStore:
     def clear(self) -> int:
         """Delete every cache entry this store recognises; returns the count.
 
-        Also empties ``quarantine/`` (counting its entries) and sweeps
-        stale staging files left behind by killed writers (not counted —
-        they were never entries).
+        Also empties ``quarantine/`` and the grid resume journals under
+        ``grids/`` (counting their files) and sweeps stale staging files
+        left behind by killed writers (not counted — they were never
+        entries).
         """
         removed = 0
         if not self.root.is_dir():
@@ -457,13 +461,14 @@ class TraceStore:
                 ".tmp" + path.suffix
             ):
                 removed += 1
-        quarantine = self.root / "quarantine"
-        if quarantine.is_dir():
-            for path in sorted(quarantine.iterdir()):
+        for directory in (self.root / "quarantine", self.root / "grids"):
+            if not directory.is_dir():
+                continue
+            for path in sorted(directory.iterdir()):
                 if self._remove_entry(path):
                     removed += 1
             try:
-                quarantine.rmdir()
+                directory.rmdir()
             except OSError:
                 pass
         return removed

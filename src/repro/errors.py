@@ -105,7 +105,8 @@ class ResilienceError(ReproError):
 
 
 class RetriesExhausted(ResilienceError):
-    """One grid cell kept failing after every retry and fallback.
+    """One grid cell failed for good: a static configuration error, or a
+    failure on the reference engine after its first attempt failed.
 
     Raised with the last underlying exception chained as ``__cause__``;
     the number of attempts made is attached as the ``attempts`` attribute.

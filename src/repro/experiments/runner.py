@@ -477,11 +477,11 @@ class ExperimentRunner:
         every trace at most once.  Either way, each cell replays through
         :meth:`report`, and every result lands in this runner's memo.
 
-        Execution is supervised (retry/backoff, engine fallback, worker
-        crash isolation, checkpoint–resume) according to ``resilience``,
-        defaulting to this runner's own config; see
-        :mod:`repro.resilience.supervisor`.  Afterwards
-        ``self.last_grid`` / ``self.last_failures`` describe what happened.
+        Execution is supervised (engine fallback, worker crash isolation,
+        checkpoint–resume) according to ``resilience``, defaulting to this
+        runner's own config; see :mod:`repro.resilience.supervisor`.
+        Afterwards ``self.last_grid`` / ``self.last_failures`` describe
+        what happened.
         """
         return supervise_grid(
             self, cells, jobs=jobs, config=resilience or self.resilience

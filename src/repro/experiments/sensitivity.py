@@ -118,6 +118,7 @@ def sensitivity_grid(
     """
     benchmarks = list(benchmarks if benchmarks is not None else benchmark_names())
     base_params = runner.energy_params
+    organisation = runner.organisation
 
     # Simulate once per (benchmark, scheme); reprice per grid point.
     cells = suite_cells(benchmarks, machine, (wpa_size,), layout_policy)
@@ -137,9 +138,9 @@ def sensitivity_grid(
             placement = []
             memoization = []
             for bench in benchmarks:
-                base = reprice_report(reports[(bench, "baseline")], params)
-                placed = reprice_report(reports[(bench, "way-placement")], params)
-                memo = reprice_report(reports[(bench, "way-memoization")], params)
+                base = reprice_report(reports[(bench, "baseline")], params, organisation)
+                placed = reprice_report(reports[(bench, "way-placement")], params, organisation)
+                memo = reprice_report(reports[(bench, "way-memoization")], params, organisation)
                 placement.append(placed.normalised_icache_energy(base))
                 memoization.append(memo.normalised_icache_energy(base))
             points.append(

@@ -1,7 +1,7 @@
 """Resilient experiment execution.
 
-Supervised grids with retry/backoff, checkpoint–resume, engine fallback,
-and a deterministic fault-injection (chaos) harness.  See
+Supervised grids with engine fallback, worker replacement,
+checkpoint–resume, and a deterministic fault-injection (chaos) harness.  See
 :mod:`repro.resilience.supervisor` for the recovery ladder and the local
 worker pool, :mod:`repro.resilience.policy` for configuration and failure
 records, :mod:`repro.resilience.journal` for checkpoint–resume, and
@@ -14,7 +14,6 @@ from repro.resilience.journal import ResumeJournal, cell_content_key, grid_diges
 from repro.resilience.policy import (
     DEFAULT_RESILIENCE,
     FailureReport,
-    FallbackPolicy,
     ResilienceConfig,
 )
 from repro.resilience.supervisor import GridSummary, run_cell, supervise_grid
@@ -24,7 +23,6 @@ __all__ = [
     "ChaosRule",
     "DEFAULT_RESILIENCE",
     "FailureReport",
-    "FallbackPolicy",
     "GridSummary",
     "InjectedFault",
     "ResilienceConfig",

@@ -43,8 +43,8 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ResilienceError, SanitizerError
 
@@ -135,17 +135,6 @@ class ChaosConfig:
         for rule in self.rules:
             rule.validate()
         return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A picklable/JSON-able form for shipping to worker processes."""
-        return {"seed": self.seed, "rules": [asdict(rule) for rule in self.rules]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChaosConfig":
-        rules = tuple(
-            ChaosRule(**dict(rule)) for rule in payload.get("rules", ())
-        )
-        return cls(seed=int(payload.get("seed", 0)), rules=rules).validate()
 
 
 class _ChaosState:

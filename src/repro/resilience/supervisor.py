@@ -1,4 +1,4 @@
-"""Supervised grid execution: retry, timeout, crash isolation, fallback.
+"""Supervised grid execution: engine fallback, timeout, crash isolation.
 
 This is the engine room behind
 :meth:`repro.experiments.runner.ExperimentRunner.run_grid`, which every
@@ -6,21 +6,22 @@ experiment calls at any ``jobs`` (``jobs=1`` runs in-process).  Where
 the old fan-out handed hundreds of cells to a bare ``ProcessPoolExecutor``
 — one crash, hang, or disk fault aborting the whole grid and discarding
 every finished report — the supervisor walks a recovery ladder and keeps
-every success:
+every success.  The ladder has one rung per failure site and no tuning
+knobs:
 
-1. **Per-cell retry** with exponential backoff and deterministic jitter
-   (:meth:`~repro.resilience.policy.ResilienceConfig.backoff_delay`);
-2. **Engine fallback**: a cell whose vectorized kernel raises, or whose
-   sanitizer fires, re-runs on the pure-Python reference schemes (they are
-   bit-identical, so the numbers cannot change);
-3. **Fresh worker**: a crashed or timed-out worker process's remaining
-   cells are requeued on a newly spawned worker;
-4. **In-process fallback**: a chunk that keeps dying in workers runs in the
+1. **Engine fallback**: a cell that fails for any reason but a static
+   configuration error — its vectorized kernel raises, its sanitizer
+   fires, an I/O fault — runs once more on the pure-Python reference
+   schemes (they are bit-identical, so the numbers cannot change);
+2. **Fresh worker**: a crashed or timed-out worker process's remaining
+   cells are requeued at once on a newly spawned worker, up to
+   ``retries`` times;
+3. **In-process fallback**: a chunk that keeps dying in workers runs in the
    parent itself before the supervisor gives up.
 
-Every cell climbs the first two rungs on its own, in-process or in a
-worker: its vectorized kernel (under the default ``fast`` engine), then
-the reference engine.
+Every cell climbs the first rung on its own, in-process or in a worker:
+the runner's engine (under the default ``fast``, its vectorized kernel),
+then the reference engine.
 
 Completed reports are always adopted into the runner's memo and
 checkpointed to the grid's :class:`~repro.resilience.journal.ResumeJournal`
@@ -54,12 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import (
-    CellFailure,
-    ResilienceError,
-    RetriesExhausted,
-    SanitizerError,
-)
+from repro.errors import CellFailure, ResilienceError, RetriesExhausted
 from repro.resilience import chaos
 from repro.resilience.journal import (
     ResumeJournal,
@@ -69,7 +65,6 @@ from repro.resilience.journal import (
 )
 from repro.resilience.policy import (
     FailureReport,
-    FallbackPolicy,
     ResilienceConfig,
     cause_chain,
     is_retryable,
@@ -164,17 +159,18 @@ def _merge_stats(into: Dict[str, Any], other: Dict[str, Any]) -> None:
 def run_cell(
     runner: Any,
     cell: "GridCell",
-    config: ResilienceConfig,
     failures: List[FailureReport],
-    site: str = "cell",
 ) -> SimulationReport:
-    """Simulate one cell under the retry/backoff/engine-fallback ladder.
+    """Simulate one cell on the runner's engine, then on the reference one.
 
-    Raises :class:`~repro.errors.RetriesExhausted` (with the last
-    underlying error chained) once every rung is spent; appends a
-    :class:`FailureReport` for both recovered and fatal incidents.  The
-    cell's label (its chaos key and ``FailureReport.cell``) names the cache
-    the way the journal's content key does, e.g.
+    A failure :func:`~repro.resilience.policy.is_retryable` accepts gets
+    one more attempt with ``runner.engine = "reference"`` (the engine is
+    restored afterwards), recorded as an ``engine-fallback`` incident.  A
+    static configuration error, or a failure of that second attempt,
+    appends an unrecovered :class:`FailureReport` and raises
+    :class:`~repro.errors.RetriesExhausted` with the last underlying error
+    chained.  The cell's label (its chaos key and ``FailureReport.cell``)
+    names the cache the way the journal's content key does, e.g.
     ``crc:way-placement:wpa16384:icache=16384/8/32``.
     """
     geometry = cell.machine.icache
@@ -184,68 +180,51 @@ def run_cell(
     )
     causes: List[str] = []
     attempts = 0
-    downgraded = False
-    while True:
-        attempts += 1
-        previous_engine = runner.engine
-        if downgraded:
-            runner.engine = "reference"
-        try:
-            chaos.chaos_point("cell", token)
-            report = runner.report(**cell.report_kwargs())
-        except Exception as error:
-            causes.extend(cause_chain(error))
-            fallback_open = (
-                config.fallback is FallbackPolicy.REFERENCE
-                and not downgraded
-                and previous_engine != "reference"
-            )
-            if isinstance(error, SanitizerError) and fallback_open:
-                downgraded = True
-                continue
-            if is_retryable(error) and attempts <= config.retries:
-                time.sleep(config.backoff_delay(attempts - 1, token))
-                continue
-            if is_retryable(error) and fallback_open:
-                downgraded = True
-                continue
-            failures.append(
-                FailureReport(
-                    site=site,
-                    benchmark=cell.benchmark,
-                    cell=token,
-                    attempts=attempts,
-                    causes=tuple(causes),
-                    recovery="none",
-                    recovered=False,
-                )
-            )
-            raise RetriesExhausted(
-                f"cell {token} failed after {attempts} attempt(s)",
-                attempts=attempts,
-            ) from error
-        else:
-            if causes:
+    engine = runner.engine
+    try:
+        while True:
+            attempts += 1
+            try:
+                chaos.chaos_point("cell", token)
+                report = runner.report(**cell.report_kwargs())
+            except Exception as error:
+                causes.extend(cause_chain(error))
+                if attempts == 1 and is_retryable(error):
+                    runner.engine = "reference"
+                    continue
                 failures.append(
                     FailureReport(
-                        site=site,
+                        site="cell",
                         benchmark=cell.benchmark,
                         cell=token,
                         attempts=attempts,
                         causes=tuple(causes),
-                        recovery="engine-fallback" if downgraded else "retry",
+                    )
+                )
+                raise RetriesExhausted(
+                    f"cell {token} failed after {attempts} attempt(s)",
+                    attempts=attempts,
+                ) from error
+            if causes:
+                failures.append(
+                    FailureReport(
+                        site="cell",
+                        benchmark=cell.benchmark,
+                        cell=token,
+                        attempts=attempts,
+                        causes=tuple(causes),
+                        recovery="engine-fallback",
                         recovered=True,
                     )
                 )
             return report
-        finally:
-            runner.engine = previous_engine
+    finally:
+        runner.engine = engine
 
 
 def run_cells(
     runner: Any,
     cells: Sequence["GridCell"],
-    config: ResilienceConfig,
     failures: List[FailureReport],
     emit: Callable[[int, SimulationReport], None],
     fail: Callable[[int, BaseException], None],
@@ -258,7 +237,7 @@ def run_cells(
     """
     for index, cell in enumerate(cells):
         try:
-            emit(index, run_cell(runner, cell, config, failures))
+            emit(index, run_cell(runner, cell, failures))
         except RetriesExhausted as error:
             fail(index, error)
 
@@ -268,7 +247,6 @@ def run_cells(
 # ---------------------------------------------------------------------------
 def _chunk_worker_main(
     spec: Dict[str, Any],
-    config: ResilienceConfig,
     chaos_config: Optional[chaos.ChaosConfig],
     benchmark: str,
     attempt: int,
@@ -308,7 +286,7 @@ def _chunk_worker_main(
             nonlocal error
             error = f"{type(exc).__name__}: {exc}"
 
-        run_cells(runner, cells, config, failures, emit, fail)
+        run_cells(runner, cells, failures, emit, fail)
         store = getattr(runner, "store", None)
         if store is not None and getattr(store, "writes_disabled", False):
             stats["store_degraded"] = str(store.root)
@@ -340,7 +318,6 @@ class _Chunk:
     benchmark: str
     cells: List["GridCell"]
     attempts: int = 0
-    ready_at: float = 0.0
 
     def __post_init__(self) -> None:
         self.causes: List[str] = []
@@ -400,7 +377,6 @@ def _run_parallel(
             target=_chunk_worker_main,
             args=(
                 spec,
-                config,
                 chaos_config,
                 chunk.benchmark,
                 chunk.attempts,
@@ -419,12 +395,9 @@ def _run_parallel(
         active.append(_Active(chunk, process, parent_conn, deadline))
 
     def settle(chunk: _Chunk, cause: str) -> None:
-        """A worker attempt failed; requeue, or hand over to the parent."""
+        """A worker attempt failed; requeue at once, or hand to the parent."""
         chunk.causes.append(cause)
         if chunk.attempts <= config.retries:
-            chunk.ready_at = time.monotonic() + config.backoff_delay(
-                chunk.attempts - 1, chunk.benchmark
-            )
             pending.append(chunk)
         else:
             exhausted.append(chunk)
@@ -460,18 +433,8 @@ def _run_parallel(
 
     while pending or active:
         now = time.monotonic()
-        while len(active) < max(1, jobs):
-            index = next(
-                (i for i, chunk in enumerate(pending) if chunk.ready_at <= now),
-                None,
-            )
-            if index is None:
-                break
-            launch(pending.pop(index))
-        if not active:
-            if pending:
-                time.sleep(_POLL_INTERVAL_S)
-            continue
+        while pending and len(active) < max(1, jobs):
+            launch(pending.pop(0))
         progressed = False
         still_active: List[_Active] = []
         for entry in active:
@@ -605,7 +568,7 @@ def supervise_grid(
             if first_error is None:
                 first_error = error
 
-        run_cells(runner, group, config, failures, emit, fail)
+        run_cells(runner, group, failures, emit, fail)
         if journal is not None:
             journal.flush()
 
@@ -659,7 +622,7 @@ def supervise_grid(
             journal.flush()
         print(render_failures(failures), file=sys.stderr)
         raise CellFailure(
-            f"{len(failed)} grid cell(s) failed after retries; "
+            f"{len(failed)} grid cell(s) failed; "
             f"{len(executed) + len(resumed) + len(memoised)} of {len(cells)} "
             f"cell(s) completed and were kept",
             failures=failures,

@@ -60,6 +60,31 @@ class TestGrid:
         ]
         assert point.placement_energy == pytest.approx(sum(direct) / len(direct))
 
+    def test_ram_calibration_point_matches_runner(self):
+        # Repricing keeps the runner's organisation: a RAM runner's
+        # identity point is its own suite means, not a CAM repricing.
+        ram = ExperimentRunner(
+            organisation="ram", eval_instructions=20_000, profile_instructions=8_000
+        )
+        benchmarks = ["crc", "sha"]
+        point = sensitivity_grid(
+            ram, cam_scales=[1.0], data_scales=[1.0], benchmarks=benchmarks
+        ).point(1.0, 1.0)
+
+        def suite_mean(scheme, wpa_size=0):
+            values = [
+                ram.normalised(b, scheme, wpa_size=wpa_size).icache_energy
+                for b in benchmarks
+            ]
+            return sum(values) / len(values)
+
+        assert point.placement_energy == pytest.approx(
+            suite_mean("way-placement", wpa_size=32 * 1024)
+        )
+        assert point.memoization_energy == pytest.approx(
+            suite_mean("way-memoization")
+        )
+
     def test_more_tag_energy_means_more_saving(self, runner):
         result = sensitivity_grid(
             runner, cam_scales=[0.7, 1.4], data_scales=[1.0], benchmarks=SUBSET

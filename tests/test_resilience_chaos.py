@@ -34,16 +34,6 @@ class TestValidation:
         with pytest.raises(ResilienceError, match="delay_s"):
             ChaosRule(site="cell", fault="hang", delay_s=-1).validate()
 
-    def test_roundtrip_through_dict(self):
-        config = ChaosConfig(
-            seed=9,
-            rules=(
-                ChaosRule("worker", "crash", match="crc@1"),
-                ChaosRule("store.save", "enospc", times=-1, probability=0.5),
-            ),
-        )
-        assert ChaosConfig.from_dict(config.to_dict()) == config
-
 
 class TestChaosPoint:
     def test_noop_without_installed_config(self):

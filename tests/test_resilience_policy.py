@@ -13,7 +13,6 @@ from repro.resilience.chaos import InjectedFault
 from repro.resilience.policy import (
     DEFAULT_RESILIENCE,
     FailureReport,
-    FallbackPolicy,
     ResilienceConfig,
     cause_chain,
     is_retryable,
@@ -26,8 +25,8 @@ class TestRetryability:
         for error in (SchemeError("bad"), WorkloadError("bad")):
             assert not is_retryable(error)
 
-    def test_sanitizer_errors_trigger_fallback_not_retry(self):
-        assert not is_retryable(SanitizerError("invariant"))
+    def test_sanitizer_errors_get_the_reference_attempt(self):
+        assert is_retryable(SanitizerError("invariant"))
 
     def test_environment_and_unknown_errors_are_retryable(self):
         for error in (
@@ -67,42 +66,12 @@ class TestResilienceConfig:
         "kwargs",
         [
             {"retries": -1},
-            {"backoff_s": -0.1},
-            {"jitter": -1.0},
             {"timeout_s": -5.0},
         ],
     )
     def test_invalid_settings_raise(self, kwargs):
         with pytest.raises(ResilienceError):
             ResilienceConfig(**kwargs).validate()
-
-    def test_backoff_is_exponential_and_deterministic(self):
-        config = ResilienceConfig(backoff_s=0.1, jitter=0.5, seed=3)
-        first = config.backoff_delay(0, "crc:baseline")
-        second = config.backoff_delay(1, "crc:baseline")
-        # exponential base, jitter bounded by [1, 1 + jitter)
-        assert 0.1 <= first < 0.1 * 1.5
-        assert 0.2 <= second < 0.2 * 1.5
-        assert first == config.backoff_delay(0, "crc:baseline")
-
-    def test_jitter_depends_on_seed_and_token(self):
-        a = ResilienceConfig(backoff_s=0.1, seed=1).backoff_delay(0, "t")
-        b = ResilienceConfig(backoff_s=0.1, seed=2).backoff_delay(0, "t")
-        c = ResilienceConfig(backoff_s=0.1, seed=1).backoff_delay(0, "u")
-        assert a != b and a != c
-
-    def test_zero_backoff_means_no_sleep(self):
-        config = ResilienceConfig(backoff_s=0.0)
-        assert config.backoff_delay(5, "t") == 0.0
-
-    def test_with_fallback_parses_cli_spellings(self):
-        assert DEFAULT_RESILIENCE.with_fallback("none").fallback is FallbackPolicy.NONE
-        assert (
-            DEFAULT_RESILIENCE.with_fallback("reference").fallback
-            is FallbackPolicy.REFERENCE
-        )
-        with pytest.raises(ResilienceError, match="unknown fallback policy"):
-            DEFAULT_RESILIENCE.with_fallback("gpu")
 
 
 class TestFailureReports:
@@ -113,16 +82,18 @@ class TestFailureReports:
             cell="crc:baseline:wpa0",
             attempts=2,
             causes=("InjectedFault: chaos",),
-            recovery="retry",
+            recovery="engine-fallback",
             recovered=True,
         )
         text = report.describe()
-        assert "recovered via retry" in text
+        assert "recovered via engine-fallback" in text
         assert "2 attempt(s)" in text
         assert "InjectedFault" in text
 
     def test_render_counts_recovered_and_fatal(self):
-        ok = FailureReport("cell", "crc", "c", 2, recovery="retry", recovered=True)
+        ok = FailureReport(
+            "cell", "crc", "c", 2, recovery="engine-fallback", recovered=True
+        )
         bad = FailureReport("worker", "sha", "s", 3)
         text = render_failures([ok, bad])
         assert "NOT recovered" in text

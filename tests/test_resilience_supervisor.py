@@ -18,7 +18,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosConfig, ChaosRule
 from repro.resilience.journal import ResumeJournal, cell_content_key, grid_digest
-from repro.resilience.policy import FallbackPolicy, ResilienceConfig
+from repro.resilience.policy import ResilienceConfig
 from repro.resilience.supervisor import run_cell
 from repro.sim.machine import XSCALE_BASELINE
 from repro.sim.simulator import resolve_engine
@@ -46,27 +46,26 @@ def fault_free_reports():
 class TestRunCell:
     """The per-cell rung of the ladder, in isolation."""
 
-    def test_transient_fault_is_retried(self):
+    def test_transient_fault_falls_back_to_reference_engine(self):
         runner = make_runner()
-        config = ResilienceConfig(retries=2, backoff_s=0.0)
         failures = []
         rule = ChaosRule("cell", "raise", match="crc:baseline", times=1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
-            report = run_cell(runner, CELLS[0], config, failures)
+            report = run_cell(runner, CELLS[0], failures)
         assert report == make_runner().report("crc", "baseline")
         assert len(failures) == 1
         incident = failures[0]
-        assert incident.recovered and incident.recovery == "retry"
+        assert incident.recovered and incident.recovery == "engine-fallback"
         assert incident.attempts == 2
         assert "InjectedFault" in incident.causes[0]
+        assert runner.engine is None  # original engine restored
 
     def test_sanitizer_failure_degrades_to_reference_engine(self):
         runner = make_runner()
-        config = ResilienceConfig(retries=2, backoff_s=0.0)
         failures = []
         rule = ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
-            report = run_cell(runner, CELLS[1], config, failures)
+            report = run_cell(runner, CELLS[1], failures)
         # bit-identical despite running on the reference schemes
         assert report == make_runner().report(
             "crc", "way-placement", wpa_size=8 * KB
@@ -74,30 +73,30 @@ class TestRunCell:
         assert failures[0].recovery == "engine-fallback"
         assert runner.engine is None  # original engine restored
 
-    def test_fallback_can_be_disabled(self):
-        runner = make_runner()
-        config = ResilienceConfig(
-            retries=1, backoff_s=0.0, fallback=FallbackPolicy.NONE
-        )
-        failures = []
-        rule = ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=-1)
-        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
-            with pytest.raises(RetriesExhausted):
-                run_cell(runner, CELLS[1], config, failures)
-        assert not failures[0].recovered
-
-    def test_persistent_fault_exhausts_retries_then_falls_back(self):
-        """A retryable fault that never clears still recovers via the
+    def test_persistent_kernel_fault_falls_back(self):
+        """A kernel fault that never clears still recovers via the
         reference engine (which skips the chaos-instrumented kernel)."""
         runner = make_runner()
-        config = ResilienceConfig(retries=1, backoff_s=0.0)
         failures = []
         rule = ChaosRule("kernel", "raise", match="crc:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
-            report = run_cell(runner, CELLS[1], config, failures)
+            report = run_cell(runner, CELLS[1], failures)
         assert report.counters.fetches > 0
         assert failures[0].recovery == "engine-fallback"
-        assert failures[0].attempts == 3  # 1 + 1 retry + 1 fallback
+        assert failures[0].attempts == 2  # the fast kernel, then reference
+
+    def test_failure_on_the_reference_engine_is_fatal(self):
+        runner = make_runner()
+        failures = []
+        rule = ChaosRule("cell", "raise", match="crc:baseline", times=-1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            with pytest.raises(RetriesExhausted) as info:
+                run_cell(runner, CELLS[0], failures)
+        assert info.value.attempts == 2
+        [incident] = failures
+        assert not incident.recovered and incident.recovery == "none"
+        assert incident.attempts == 2 and len(incident.causes) == 2
+        assert runner.engine is None  # original engine restored
 
     def test_failure_report_names_the_cache(self):
         # The same benchmark, scheme and WPA in two caches: a cell rule
@@ -108,13 +107,13 @@ class TestRunCell:
             GridCell("crc", "way-placement", wpa_size=8 * KB),
             GridCell("crc", "way-placement", small, wpa_size=8 * KB),
         ]
-        runner = make_runner(resilience=ResilienceConfig(retries=2, backoff_s=0.0))
+        runner = make_runner()
         rule = ChaosRule("cell", "raise", match=":icache=16384/8/32", times=1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             got = runner.run_grid(cells)
         assert got == make_runner().run_grid(cells)
         [incident] = runner.last_failures
-        assert incident.recovered and incident.recovery == "retry"
+        assert incident.recovered and incident.recovery == "engine-fallback"
         assert incident.cell == "crc:way-placement:wpa8192:icache=16384/8/32"
 
     def test_static_errors_fail_immediately(self):
@@ -122,8 +121,8 @@ class TestRunCell:
         failures = []
         cell = GridCell("crc", "no-such-scheme")
         with pytest.raises(RetriesExhausted) as info:
-            run_cell(runner, cell, ResilienceConfig(retries=3), failures)
-        assert info.value.attempts == 1  # no retry for config errors
+            run_cell(runner, cell, failures)
+        assert info.value.attempts == 1  # no second attempt for config errors
         assert isinstance(info.value.__cause__, SchemeError)
         assert not failures[0].recovered
 
@@ -148,7 +147,7 @@ class TestChaosGridAcceptance:
         )
         runner = make_runner(
             tmp_path / "cache",
-            resilience=ResilienceConfig(retries=2, backoff_s=0.01, timeout_s=2.0),
+            resilience=ResilienceConfig(retries=2, timeout_s=2.0),
         )
         with chaos.active(config):
             got = runner.run_grid(CELLS, jobs=2)
@@ -177,14 +176,13 @@ class TestChaosGridAcceptance:
                 ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=-1),
             ),
         )
-        runner = make_runner(
-            resilience=ResilienceConfig(retries=2, backoff_s=0.0)
-        )
+        runner = make_runner()
         with chaos.active(config):
             got = runner.run_grid(CELLS, jobs=1)
         assert got == want
+        assert len(runner.last_failures) == 2
         recoveries = {f.recovery for f in runner.last_failures}
-        assert recoveries == {"retry", "engine-fallback"}
+        assert recoveries == {"engine-fallback"}
 
 
 class TestLocalPool:
@@ -250,7 +248,7 @@ class TestLocalPool:
         try:
             runner = make_runner(
                 tmp_path / "cache",
-                resilience=ResilienceConfig(retries=3, backoff_s=0.01, timeout_s=10.0),
+                resilience=ResilienceConfig(retries=3, timeout_s=10.0),
             )
             rule = ChaosRule("store.save", "enospc", times=-1)
             with warnings.catch_warnings(record=True) as caught:
@@ -278,7 +276,7 @@ class TestLadderChaos:
     def test_hung_worker_and_kernel_trip_recover(self):
         want = make_runner(engine="reference").run_grid(self.SWEEP_CELLS, jobs=1)
         runner = make_runner(
-            resilience=ResilienceConfig(retries=2, backoff_s=0.01, timeout_s=2.0),
+            resilience=ResilienceConfig(retries=2, timeout_s=2.0),
         )
         config = ChaosConfig(
             seed=13,
@@ -321,11 +319,7 @@ class TestPartialCompletion:
     """Satellite: completed work is adopted before a failure surfaces."""
 
     def test_serial_failure_keeps_completed_cells(self):
-        runner = make_runner(
-            resilience=ResilienceConfig(
-                retries=0, backoff_s=0.0, fallback=FallbackPolicy.NONE
-            )
-        )
+        runner = make_runner(resilience=ResilienceConfig(retries=0))
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure) as info:
@@ -340,11 +334,7 @@ class TestPartialCompletion:
     def test_parallel_failure_keeps_other_chunks_and_partial_chunks(self):
         """A chunk that fails mid-way ships its completed cells back; the
         supervisor adopts them (and every other chunk) before raising."""
-        runner = make_runner(
-            resilience=ResilienceConfig(
-                retries=0, backoff_s=0.0, fallback=FallbackPolicy.NONE
-            )
-        )
+        runner = make_runner(resilience=ResilienceConfig(retries=0))
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure):
@@ -354,9 +344,7 @@ class TestPartialCompletion:
         assert not runner.has_report(CELLS[3])
 
     def test_cell_failure_chains_the_underlying_error(self):
-        runner = make_runner(
-            resilience=ResilienceConfig(retries=0, fallback=FallbackPolicy.NONE)
-        )
+        runner = make_runner(resilience=ResilienceConfig(retries=0))
         rule = ChaosRule("cell", "raise", match="crc", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure) as info:
@@ -369,9 +357,7 @@ class TestResumeAcceptance:
 
     def test_interrupted_grid_resumes_from_journal(self, tmp_path):
         cache = tmp_path / "cache"
-        fail_fast = ResilienceConfig(
-            retries=0, backoff_s=0.0, fallback=FallbackPolicy.NONE
-        )
+        fail_fast = ResilienceConfig(retries=0)
         first = make_runner(cache, resilience=fail_fast)
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
@@ -396,9 +382,31 @@ class TestResumeAcceptance:
         # clean completion deletes the journal
         assert not journal.path.exists()
 
+    def test_cache_clear_discards_grid_journals(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = make_runner(cache, resilience=ResilienceConfig(retries=0))
+        rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            with pytest.raises(CellFailure):
+                first.run_grid(CELLS, jobs=1)
+        key = grid_digest(first.spawn_spec(), [cell_content_key(c) for c in CELLS])
+        journal = ResumeJournal.for_grid(cache, key)
+        assert journal.path.exists()
+
+        # the journal is counted like a store entry, and then it is gone
+        entries = sum(first.store.entries().values())
+        assert first.store.clear() == entries + 1
+        assert not journal.path.exists()
+
+        # so a resumed rerun adopts nothing from before the clear
+        resumed = make_runner(cache, resilience=ResilienceConfig(resume=True))
+        assert resumed.run_grid(CELLS, jobs=1) == fault_free_reports()
+        assert resumed.last_grid.resumed == ()
+        assert len(resumed.last_grid.executed) == len(CELLS)
+
     def test_resume_of_a_different_grid_re_executes_everything(self, tmp_path):
         cache = tmp_path / "cache"
-        config = ResilienceConfig(resume=True, backoff_s=0.0)
+        config = ResilienceConfig(resume=True)
         runner = make_runner(cache, resilience=config)
         runner.run_grid(CELLS[:2], jobs=1)
         # different eval budget => different grid digest => cold resume
@@ -480,8 +488,6 @@ class TestCliFlags:
                 "--timeout",
                 "30",
                 "--resume",
-                "--fallback-policy",
-                "none",
             ]
         )
         runner = _make_runner(args)
@@ -489,7 +495,6 @@ class TestCliFlags:
         assert config.retries == 5
         assert config.timeout_s == 30.0
         assert config.resume is True
-        assert config.fallback is FallbackPolicy.NONE
 
     def test_chaos_seed_flags_are_mutually_exclusive(self, capsys):
         from repro.cli import main
