@@ -247,10 +247,6 @@ class AnalysisContext:
     wpa_size: Optional[int] = None
     page_size: Optional[int] = None
     energy: Optional[Mapping[str, float]] = None
-    grid_cells: Optional[Tuple[Any, ...]] = None
-    #: Raw resilience settings (``retries``, ``timeout_s``) from a config
-    #: file or a ResilienceConfig, unvalidated.
-    resilience: Optional[Mapping[str, Any]] = None
     _cache: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -268,8 +264,6 @@ class AnalysisContext:
         wpa_size: Optional[int] = None,
         page_size: Optional[int] = None,
         energy: Optional[Any] = None,
-        grid_cells: Optional[Sequence[Any]] = None,
-        resilience: Optional[Mapping[str, Any]] = None,
         subject: Optional[str] = None,
     ) -> "AnalysisContext":
         """Build a context from the strict pipeline objects."""
@@ -287,6 +281,4 @@ class AnalysisContext:
             wpa_size=wpa_size,
             page_size=page_size,
             energy=_energy_mapping(energy),
-            grid_cells=tuple(grid_cells) if grid_cells is not None else None,
-            resilience=dict(resilience) if resilience is not None else None,
         )

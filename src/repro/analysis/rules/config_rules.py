@@ -1,14 +1,13 @@
-"""Config-layer rules (``C``): energy parameters, cache geometry, grids.
+"""Config-layer rules (``C``): energy parameters and cache geometry.
 
 These catch configurations the strict constructors accept (or that reach
-the simulator as plain numbers) but that violate physical conservation or
-silently waste work — the kind of mistake that otherwise only shows up as
-implausible results deep inside an experiment sweep.
+the simulator as plain numbers) but that violate physical conservation —
+the kind of mistake that otherwise only shows up as implausible results
+deep inside an experiment sweep.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator
 
 from repro.analysis.context import AnalysisContext
@@ -123,63 +122,4 @@ def check_geometry(context: AnalysisContext) -> Iterator[Finding]:
                 f"{geometry.address_bits} address bits leave no tag bits for "
                 f"this geometry",
                 "grow address_bits or shrink the cache",
-            )
-
-
-@rule(
-    "C004",
-    "duplicate-grid-cells",
-    "config",
-    Severity.WARNING,
-    "An experiment grid contains duplicate cells that silently re-simulate "
-    "the same configuration.",
-)
-def check_duplicate_grid_cells(context: AnalysisContext) -> Iterator[Finding]:
-    cells = context.grid_cells
-    if not cells:
-        return
-    counts = Counter(repr(cell) for cell in cells)
-    duplicated = {cell: count for cell, count in counts.items() if count > 1}
-    if duplicated:
-        example = sorted(duplicated)[0]
-        extra = sum(count - 1 for count in duplicated.values())
-        yield Finding(
-            _config_location(context, "grid"),
-            f"{extra} duplicate grid cell(s) across {len(duplicated)} "
-            f"configuration(s); e.g. {example} appears "
-            f"{duplicated[example]} times",
-            "deduplicate the cell list before running the grid",
-        )
-
-
-@rule(
-    "C005",
-    "contradictory-resilience",
-    "config",
-    Severity.WARNING,
-    "Supervised-execution settings contradict each other (e.g. retries "
-    "that can never run because every attempt times out immediately).",
-)
-def check_resilience_config(context: AnalysisContext) -> Iterator[Finding]:
-    settings = context.resilience
-    if settings is None:
-        return
-    retries = settings.get("retries")
-    timeout = settings.get("timeout_s")
-    if retries is not None and timeout is not None and retries > 0 and timeout == 0:
-        yield Finding(
-            _config_location(context, "timeout_s"),
-            f"retries={retries} with timeout_s=0 is contradictory: every "
-            f"worker-chunk attempt is killed immediately, so no retry can "
-            f"ever succeed",
-            "raise timeout_s (or drop it) so retried attempts get to run",
-        )
-    for name in ("retries", "timeout_s"):
-        value = settings.get(name)
-        if value is not None and value < 0:
-            yield Finding(
-                _config_location(context, name),
-                f"resilience {name} is {value}; it must be >= 0 "
-                f"(the runner rejects this config outright)",
-                f"use a non-negative {name}",
             )

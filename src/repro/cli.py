@@ -10,8 +10,8 @@ Commands
     Regenerate a figure (optionally on a benchmark subset).  Grid commands
     (these, ``report`` and ``export``) run one supervised grid, in-process
     or on ``--jobs`` workers, and honour the supervision flags at any
-    ``--jobs`` — ``--retries``, ``--timeout``, ``--resume`` — described
-    in docs/robustness.md.
+    ``--jobs`` — ``--timeout`` and ``--resume`` — described in
+    docs/robustness.md.
 ``simulate``
     Run one (benchmark, scheme, geometry, WPA) combination and print the
     normalised result plus the activity counters behind it.
@@ -49,7 +49,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -61,7 +60,7 @@ from repro.experiments.formatting import render_table
 from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
 from repro.layout.wpa_select import choose_wpa_size
-from repro.resilience.policy import DEFAULT_RESILIENCE, ResilienceConfig
+from repro.resilience.policy import ResilienceConfig
 from repro.sim.machine import XSCALE_BASELINE, table1_rows
 from repro.workloads.mibench import MIBENCH_BENCHMARKS, benchmark_names
 
@@ -274,14 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos_drill.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="single chaos schedule seed (shorthand for --seeds SEED)",
-    )
-    chaos_drill.add_argument(
         "--seeds",
-        default=None,
+        default="0",
         metavar="N,N,...",
         help="comma-separated seed matrix (default: 0)",
     )
@@ -350,21 +343,14 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the experiment grid (default 1: in-process)",
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "extra worker attempts per crashed or timed-out chunk "
-            f"(default {DEFAULT_RESILIENCE.retries}; see docs/robustness.md)"
-        ),
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per worker chunk attempt (default: no timeout)",
+        help=(
+            "wall-clock budget per worker; a killed worker's cells run in "
+            "the parent (default: no timeout)"
+        ),
     )
     parser.add_argument(
         "--resume",
@@ -378,19 +364,11 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
     """A ResilienceConfig when any supervision flag was given, else None."""
-    retries = getattr(args, "retries", None)
     timeout = getattr(args, "timeout", None)
     resume = getattr(args, "resume", False)
-    if retries is None and timeout is None and not resume:
+    if timeout is None and not resume:
         return None
-    config = DEFAULT_RESILIENCE
-    if retries is not None:
-        config = dataclasses.replace(config, retries=retries)
-    if timeout is not None:
-        config = dataclasses.replace(config, timeout_s=timeout)
-    if resume:
-        config = dataclasses.replace(config, resume=True)
-    return config.validate()
+    return ResilienceConfig(timeout_s=timeout, resume=resume).validate()
 
 
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -642,10 +620,9 @@ def _config_lint_context(path: str):
     """Analysis context for a JSON experiment-config file.
 
     Recognised keys: ``cache`` ({size_kb, ways, line_bytes, address_bits}),
-    ``energy`` (EnergyParams field overrides), ``wpa_kb``, ``page_kb``,
-    ``resilience`` ({retries, timeout_s} — the supervised-grid
-    settings, linted by rule C005), all optional; missing
-    pieces fall back to the paper's baseline.
+    ``energy`` (EnergyParams field overrides), ``wpa_kb`` and ``page_kb``,
+    all optional; missing pieces fall back to the paper's baseline, and
+    other keys are ignored.
     """
     from repro.analysis import AnalysisContext, GeometrySpec
     from repro.analysis.context import _energy_mapping
@@ -668,18 +645,12 @@ def _config_lint_context(path: str):
     )
     wpa_kb = data.get("wpa_kb")
     page_kb = data.get("page_kb", XSCALE_BASELINE.page_size // KB)
-    resilience = data.get("resilience")
-    if resilience is not None and not isinstance(resilience, dict):
-        raise ReproError(
-            f"config file {path!r}: 'resilience' must be a JSON object"
-        )
     return AnalysisContext(
         subject=os.path.basename(path),
         geometry=geometry,
         energy=_energy_mapping(dict(data.get("energy") or {})),
         wpa_size=int(wpa_kb * KB) if wpa_kb is not None else None,
         page_size=int(page_kb * KB),
-        resilience=resilience,
     )
 
 
@@ -800,17 +771,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience.drill import run_matrix
 
-    if args.seed is not None and args.seeds is not None:
-        print("error: give --seed or --seeds, not both", file=sys.stderr)
+    try:
+        seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
+    except ValueError:
+        print(f"error: bad --seeds value {args.seeds!r}", file=sys.stderr)
         return 2
-    if args.seeds is not None:
-        try:
-            seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-        except ValueError:
-            print(f"error: bad --seeds value {args.seeds!r}", file=sys.stderr)
-            return 2
-    else:
-        seeds = [args.seed if args.seed is not None else 0]
 
     summary = run_matrix(seeds, jobs=args.jobs)
     for run in summary["runs"]:
@@ -870,8 +835,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"{quarantine_bytes / KB:.1f}KB (undeletable corrupt entries; "
                 f"'repro cache clear' removes them)"
             )
-        print(f"session hits    : {stats['session_hits']}")
-        print(f"session misses  : {stats['session_misses']}")
         if stats["writes_disabled"]:
             print("writes          : DISABLED (earlier write failure)")
     else:

@@ -415,7 +415,7 @@ class TraceStore:
         return counts
 
     def stats(self) -> Dict[str, object]:
-        """Directory, per-kind counts/bytes, quarantine, hit rates."""
+        """Directory, per-kind counts/bytes, quarantine, write state."""
         counts = {kind: 0 for kind in self._KINDS}
         kind_bytes = {kind: 0 for kind in self._KINDS}
         for path, kind in self._iter_entries():
@@ -435,10 +435,6 @@ class TraceStore:
             "total_bytes": sum(kind_bytes.values()),
             "quarantined": quarantined,
             "quarantine_bytes": quarantine_bytes,
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-            "session_kind_hits": dict(self.kind_hits),
-            "session_kind_misses": dict(self.kind_misses),
             "writes_disabled": self.writes_disabled,
         }
 

@@ -32,8 +32,8 @@ defaults because the workloads are stationary loop nests).
 
 Every experiment runs its (benchmark, scheme, geometry) cells through
 :meth:`ExperimentRunner.run_grid`, the supervised grid of
-:mod:`repro.resilience.supervisor`: in-process at ``jobs=1``, across worker
-processes chunked by benchmark otherwise.
+:mod:`repro.resilience.supervisor`: in-process at ``jobs=1``, otherwise on
+one worker process per benchmark.
 """
 
 from __future__ import annotations
@@ -464,10 +464,7 @@ class ExperimentRunner:
         }
 
     def run_grid(
-        self,
-        cells: Sequence[GridCell],
-        jobs: int = 1,
-        resilience: Optional[ResilienceConfig] = None,
+        self, cells: Sequence[GridCell], jobs: int = 1
     ) -> List[SimulationReport]:
         """Simulate ``cells`` under supervision; reports return in input order.
 
@@ -478,11 +475,8 @@ class ExperimentRunner:
         :meth:`report`, and every result lands in this runner's memo.
 
         Execution is supervised (engine fallback, worker crash isolation,
-        checkpoint–resume) according to ``resilience``, defaulting to this
-        runner's own config; see :mod:`repro.resilience.supervisor`.
-        Afterwards ``self.last_grid`` / ``self.last_failures`` describe
-        what happened.
+        checkpoint–resume) according to this runner's ``resilience``
+        config; see :mod:`repro.resilience.supervisor`.  Afterwards
+        ``self.last_grid`` / ``self.last_failures`` describe what happened.
         """
-        return supervise_grid(
-            self, cells, jobs=jobs, config=resilience or self.resilience
-        )
+        return supervise_grid(self, cells, jobs=jobs, config=self.resilience)

@@ -1,7 +1,8 @@
 """Resilient experiment execution.
 
-Supervised grids with engine fallback, worker replacement,
-checkpoint–resume, and a deterministic fault-injection (chaos) harness.  See
+Supervised grids with engine fallback, an in-process rung for failed
+workers, checkpoint–resume, and a deterministic fault-injection (chaos)
+harness.  See
 :mod:`repro.resilience.supervisor` for the recovery ladder and the local
 worker pool, :mod:`repro.resilience.policy` for configuration and failure
 records, :mod:`repro.resilience.journal` for checkpoint–resume, and

@@ -12,7 +12,7 @@ site           where it fires
 ``store.load``   :class:`~repro.engine.store.TraceStore` reads
 ``store.save``   :class:`~repro.engine.store.TraceStore` writes
 ``store.discard``  deleting a corrupt :class:`TraceStore` entry
-``worker``       a grid worker process's entry point (key ``bench@attempt``)
+``worker``       a grid worker process's entry point (key: the benchmark)
 ``kernel``       the vectorized fast path in ``Simulator.run_events``
 ``cell``         one supervised cell simulation (parent or worker), keyed
                  by its label (``bench:scheme:wpaN:icache=size/ways/line``)

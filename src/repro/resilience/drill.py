@@ -4,9 +4,9 @@ A *drill* derives a deterministic fault schedule from a seed, runs a
 supervised parallel grid under it, and checks the acceptance bar of
 docs/robustness.md: results bit-identical to a fault-free serial run,
 with every injected incident recovered.  The schedule covers every
-recovery rung of the local worker pool at once: worker crashes and hangs,
-kernel sanitizer trips, one cell fault per process, and a full disk and a
-torn write mid-cache-write.
+recovery rung at once: a worker crash and a worker hang (the in-process
+rung), kernel sanitizer trips and one cell fault per process (engine
+fallback), and a full disk and a torn write mid-cache-write.
 
 :func:`run_drill` runs one seeded drill and returns a summary dict;
 :func:`run_matrix` sweeps a seed matrix and aggregates.  Given the same
@@ -65,8 +65,8 @@ def build_rules(seed: int) -> Tuple[ChaosRule, ...]:
     crash_bench = random.Random(seed).choice(["crc", "sha"])
     hang_bench = "sha" if crash_bench == "crc" else "crc"
     return (
-        ChaosRule("worker", "crash", match=f"{crash_bench}@1", times=1),
-        ChaosRule("worker", "hang", match=f"{hang_bench}@1", times=1, delay_s=60.0),
+        ChaosRule("worker", "crash", match=crash_bench, times=1),
+        ChaosRule("worker", "hang", match=hang_bench, times=1, delay_s=60.0),
         # A way-placement kernel trips the sanitizer: engine fallback.
         ChaosRule("kernel", "sanitizer", match="way-placement", times=1),
         # At most one cell fault per process, so the cell's reference
@@ -94,12 +94,12 @@ def run_drill(
     with tempfile.TemporaryDirectory() as scratch:
         runner = _make_runner(
             str(Path(scratch) / "cache"),
-            resilience=ResilienceConfig(retries=3, timeout_s=10.0),
+            resilience=ResilienceConfig(timeout_s=10.0),
         )
         # Warm exactly one benchmark's traces before the faults go live:
-        # its workers load from the store, while the other benchmark stays
-        # cold and keeps exercising the per-worker derive-and-persist path
-        # under the store.save faults.
+        # its cells load from the store, while the other benchmark stays
+        # cold and keeps exercising the derive-and-persist path under the
+        # store.save faults.
         for cell in drill_cells():
             if cell.benchmark != "crc":
                 continue

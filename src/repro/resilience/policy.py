@@ -1,12 +1,12 @@
-"""Resilience policy: worker attempts, timeouts, resume, failure records.
+"""Resilience policy: worker timeout, resume, failure records.
 
-A :class:`ResilienceConfig` describes how the supervised grid runner (see
-:mod:`repro.resilience.supervisor`) reacts to failure: how many worker
-attempts a crashed or timed-out chunk gets, how long a worker chunk may
-run before it is killed, and whether a run resumes from a checkpoint
-journal.  A failed cell needs no setting: it gets one more attempt, on
-the reference engine, whenever :func:`is_retryable` says that attempt can
-succeed.
+A :class:`ResilienceConfig` describes the two settings of the supervised
+grid runner (see :mod:`repro.resilience.supervisor`): how long a worker
+may run before it is killed, and whether a run resumes from a checkpoint
+journal.  Recovery itself needs no setting: a failed cell gets one more
+attempt, on the reference engine, whenever :func:`is_retryable` says that
+attempt can succeed, and a failed worker's unfinished cells run once in
+the parent.
 
 Every recovery — and every failure that exhausted the ladder — is recorded
 as a structured :class:`FailureReport` so partial completions can explain
@@ -81,25 +81,21 @@ def cause_chain(error: BaseException, limit: int = 8) -> Tuple[str, ...]:
 class ResilienceConfig:
     """How supervised execution reacts to failure (see module docstring).
 
-    ``retries`` bounds *extra* worker attempts: a chunk whose worker
-    crashes or times out runs on at most ``retries + 1`` workers before it
-    runs in the parent.  ``timeout_s`` is the wall-clock budget of one
-    worker chunk attempt (``None`` disables timeouts).  ``resume`` makes
+    ``timeout_s`` is the wall-clock budget of one worker (``None``
+    disables timeouts); a worker past it is killed and its unfinished
+    cells run in the parent.  ``resume`` makes
     :meth:`~repro.experiments.runner.ExperimentRunner.run_grid` reload the
     checkpoint journal of an interrupted identical grid and re-execute only
     the missing cells.
     """
 
-    retries: int = 2
     timeout_s: Optional[float] = None
     resume: bool = False
 
     def validate(self) -> "ResilienceConfig":
         """Raise :class:`~repro.errors.ResilienceError` on invalid settings."""
-        if self.retries < 0:
-            raise ResilienceError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout_s is not None and self.timeout_s < 0:
-            raise ResilienceError(f"timeout_s must be >= 0, got {self.timeout_s}")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ResilienceError(f"timeout_s must be > 0, got {self.timeout_s}")
         return self
 
 
@@ -117,8 +113,8 @@ class FailureReport:
     (``crc:way-placement:wpa16384:icache=16384/8/32``), a chunk's its
     benchmark.  ``causes`` holds the exception cause chains of every
     failed attempt, oldest first.  ``recovery`` names the ladder rung that
-    finally succeeded — ``engine-fallback``, ``fresh-worker`` or
-    ``in-process`` — or ``none`` when the incident was not recovered.
+    finally succeeded — ``engine-fallback`` or ``in-process`` — or
+    ``none`` when the incident was not recovered.
     """
 
     site: str

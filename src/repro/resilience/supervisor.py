@@ -13,11 +13,11 @@ knobs:
    configuration error — its vectorized kernel raises, its sanitizer
    fires, an I/O fault — runs once more on the pure-Python reference
    schemes (they are bit-identical, so the numbers cannot change);
-2. **Fresh worker**: a crashed or timed-out worker process's remaining
-   cells are requeued at once on a newly spawned worker, up to
-   ``retries`` times;
-3. **In-process fallback**: a chunk that keeps dying in workers runs in the
-   parent itself before the supervisor gives up.
+2. **In-process fallback**: a worker that crashes, times out or reports
+   a failed cell hands its unfinished cells to the parent, which runs
+   them once after the pool drains;
+3. **Give up**: a cell that fails there too raises
+   :class:`~repro.errors.CellFailure`.
 
 Every cell climbs the first rung on its own, in-process or in a worker:
 the runner's engine (under the default ``fast``, its vectorized kernel),
@@ -31,9 +31,9 @@ Every incident is recorded as a
 :class:`~repro.errors.CellFailure` with those reports attached.
 
 The parallel portion runs on one local pool (:func:`_run_parallel`): one
-forked worker per benchmark chunk, each loading its traces from the
-persistent store itself (mmap'd, so workers replaying the same entry share
-its pages).
+forked worker per benchmark, each loading its traces from the persistent
+store itself (mmap'd, so workers replaying the same entry share its
+pages).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -77,10 +77,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["GridSummary", "run_cell", "run_cells", "supervise_grid"]
 
-#: Seconds between scheduler polls of the active worker set.
-_POLL_INTERVAL_S = 0.01
-#: Grace period for draining a just-died worker's result pipe.
-_DRAIN_TIMEOUT_S = 0.2
+#: How long a settled worker may take to exit before it is killed.
+_EXIT_GRACE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -243,22 +241,21 @@ def run_cells(
 
 
 # ---------------------------------------------------------------------------
-# Worker processes (one per benchmark-chunk attempt)
+# Worker processes (one per benchmark)
 # ---------------------------------------------------------------------------
 def _chunk_worker_main(
     spec: Dict[str, Any],
     chaos_config: Optional[chaos.ChaosConfig],
     benchmark: str,
-    attempt: int,
     cells: Tuple["GridCell", ...],
     conn: Connection,
 ) -> None:
-    """Worker entry point: simulate one benchmark chunk, ship results back.
+    """Worker entry point: simulate one benchmark's cells, ship results back.
 
     Sends ``(status, results, failures, error, stats)`` where ``results``
-    maps chunk indices to finished reports — partial on failure, so the
-    parent adopts whatever completed before anything went wrong — and
-    ``stats`` carries the worker's memory growth and any cache-write
+    maps indices into ``cells`` to finished reports — partial on failure,
+    so the parent adopts whatever completed before anything went wrong —
+    and ``stats`` carries the worker's memory growth and any cache-write
     degradation (see :func:`_new_stats`).
     """
     rss_baseline = _peak_rss_kb()
@@ -274,7 +271,7 @@ def _chunk_worker_main(
         # The parent relays one degradation warning for all workers (see
         # _merge_stats); a per-process copy from every worker is noise.
         store_module.suppress_write_warnings()
-        chaos.chaos_point("worker", f"{benchmark}@{attempt}")
+        chaos.chaos_point("worker", benchmark)
         from repro.experiments.runner import ExperimentRunner
 
         runner = ExperimentRunner(**spec)
@@ -311,181 +308,100 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-@dataclass
-class _Chunk:
-    """One benchmark's remaining cells plus its supervision state."""
-
-    benchmark: str
-    cells: List["GridCell"]
-    attempts: int = 0
-
-    def __post_init__(self) -> None:
-        self.causes: List[str] = []
-
-
-@dataclass
-class _Active:
-    chunk: _Chunk
-    process: Any
-    conn: Connection
-    deadline: Optional[float]
-
-
-def _stop_worker(entry: _Active) -> None:
-    process = entry.process
-    try:
-        process.terminate()
-        process.join(2.0)
-        if process.is_alive():
-            process.kill()
-            process.join(5.0)
-    finally:
-        try:
-            entry.conn.close()
-        except Exception:
-            pass
-
-
 Adopt = Callable[["GridCell", SimulationReport], None]
+#: A worker that did not finish cleanly: its benchmark, the cells it left
+#: unfinished, and why.
+Handoff = Tuple[str, List["GridCell"], str]
 
 
 def _run_parallel(
     runner: Any,
-    chunks: List[_Chunk],
+    groups: Dict[str, List["GridCell"]],
     jobs: int,
-    config: ResilienceConfig,
+    timeout_s: Optional[float],
     failures: List[FailureReport],
     adopt: Adopt,
     stats: Dict[str, Any],
-) -> List[_Chunk]:
-    """Fan chunks across supervised worker processes.
+) -> List[Handoff]:
+    """Run each benchmark's cells on its own worker, ``jobs`` at a time.
 
-    Returns the chunks that exhausted their worker attempts and must fall
-    back to in-process execution in the parent.
+    The scheduler blocks on the active workers' result pipes and process
+    sentinels, waking at the nearest deadline when ``timeout_s`` is set.
+    A worker is settled by its message, its death, or its passed deadline
+    (then it is killed at once); whatever results it shipped are adopted.
+    Returns a :data:`Handoff` for every worker that crashed, timed out,
+    failed fatally or reported a failed cell, for the parent to run.
     """
     context = _mp_context()
     spec = runner.spawn_spec()
     chaos_config = chaos.current()
-    pending = list(chunks)
-    active: List[_Active] = []
-    exhausted: List[_Chunk] = []
-
-    def launch(chunk: _Chunk) -> None:
-        chunk.attempts += 1
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_chunk_worker_main,
-            args=(
-                spec,
-                chaos_config,
-                chunk.benchmark,
-                chunk.attempts,
-                tuple(chunk.cells),
-                child_conn,
-            ),
-        )
-        process.daemon = True
-        process.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + config.timeout_s
-            if config.timeout_s is not None
-            else None
-        )
-        active.append(_Active(chunk, process, parent_conn, deadline))
-
-    def settle(chunk: _Chunk, cause: str) -> None:
-        """A worker attempt failed; requeue at once, or hand to the parent."""
-        chunk.causes.append(cause)
-        if chunk.attempts <= config.retries:
-            pending.append(chunk)
-        else:
-            exhausted.append(chunk)
-
-    def absorb(entry: _Active, message: Tuple[Any, ...]) -> None:
-        status, results, worker_failures, error, worker_stats = message
-        failures.extend(worker_failures)
-        _merge_stats(stats, worker_stats)
-        chunk = entry.chunk
-        finished = set()
-        for index, report in results:
-            adopt(chunk.cells[index], report)
-            finished.add(index)
-        remaining = [
-            cell for index, cell in enumerate(chunk.cells) if index not in finished
-        ]
-        if not remaining and error is None and status == "done":
-            if chunk.causes:
-                failures.append(
-                    FailureReport(
-                        site="worker",
-                        benchmark=chunk.benchmark,
-                        cell=f"{chunk.benchmark} chunk",
-                        attempts=chunk.attempts,
-                        causes=tuple(chunk.causes),
-                        recovery="fresh-worker",
-                        recovered=True,
-                    )
-                )
-            return
-        chunk.cells = remaining if remaining else list(chunk.cells)
-        settle(chunk, error or f"worker finished without results ({status})")
+    pending = list(groups.items())
+    # One entry per running worker, keyed by its result pipe.
+    active: Dict[Connection, Tuple[str, List["GridCell"], Any, Optional[float]]] = {}
+    handoffs: List[Handoff] = []
 
     while pending or active:
+        while pending and len(active) < jobs:
+            benchmark, cells = pending.pop(0)
+            parent_conn, child_conn = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_chunk_worker_main,
+                args=(spec, chaos_config, benchmark, tuple(cells), child_conn),
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            deadline = None if timeout_s is None else time.monotonic() + timeout_s
+            active[parent_conn] = (benchmark, cells, process, deadline)
+
+        sentinels = [process.sentinel for _, _, process, _ in active.values()]
+        deadlines = [d for _, _, _, d in active.values() if d is not None]
+        ready = set(
+            wait(
+                [*active, *sentinels],
+                max(0.0, min(deadlines) - time.monotonic()) if deadlines else None,
+            )
+        )
         now = time.monotonic()
-        while pending and len(active) < max(1, jobs):
-            launch(pending.pop(0))
-        progressed = False
-        still_active: List[_Active] = []
-        for entry in active:
+        for conn, (benchmark, cells, process, deadline) in list(active.items()):
+            expired = deadline is not None and now >= deadline
+            if not expired and conn not in ready and process.sentinel not in ready:
+                continue
+            del active[conn]
+            if expired:
+                process.kill()
             message: Optional[Tuple[Any, ...]] = None
-            if entry.conn.poll():
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None
-            if message is not None:
-                entry.process.join(5.0)
-                try:
-                    entry.conn.close()
-                except Exception:
-                    pass
-                absorb(entry, message)
-                progressed = True
-            elif not entry.process.is_alive():
-                # Drain the pipe once more: the child may have sent its
-                # results in the instant before exiting.
-                if entry.conn.poll(_DRAIN_TIMEOUT_S):
-                    try:
-                        message = entry.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                entry.process.join(5.0)
-                try:
-                    entry.conn.close()
-                except Exception:
-                    pass
-                if message is not None:
-                    absorb(entry, message)
-                else:
-                    settle(
-                        entry.chunk,
-                        f"worker crashed (exit code {entry.process.exitcode})",
-                    )
-                progressed = True
-            elif entry.deadline is not None and now >= entry.deadline:
-                _stop_worker(entry)
-                settle(
-                    entry.chunk,
-                    f"worker timed out after {config.timeout_s}s",
+            try:
+                if conn.poll():
+                    message = conn.recv()
+            except (EOFError, OSError):
+                pass
+            conn.close()
+            process.join(_EXIT_GRACE_S)
+            if process.is_alive():
+                process.kill()
+                process.join(_EXIT_GRACE_S)
+
+            finished: Set[int] = set()
+            if message is None:
+                cause: Optional[str] = (
+                    f"worker timed out after {timeout_s}s"
+                    if expired
+                    else f"worker crashed (exit code {process.exitcode})"
                 )
-                progressed = True
             else:
-                still_active.append(entry)
-        active = still_active
-        if not progressed:
-            time.sleep(_POLL_INTERVAL_S)
-    return exhausted
+                _, results, worker_failures, cause, worker_stats = message
+                failures.extend(worker_failures)
+                _merge_stats(stats, worker_stats)
+                for index, report in results:
+                    adopt(cells[index], report)
+                    finished.add(index)
+            if cause is not None:
+                unfinished = [
+                    cell for index, cell in enumerate(cells) if index not in finished
+                ]
+                handoffs.append((benchmark, unfinished, cause))
+    return handoffs
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +472,7 @@ def supervise_grid(
         if journal is not None:
             journal.record(content, report)
 
-    def run_in_process(benchmark: str, group: List["GridCell"]) -> None:
-        nonlocal first_error
-
+    def run_in_process(group: List["GridCell"]) -> None:
         def emit(index: int, report: SimulationReport) -> None:
             adopt(group[index], report)
 
@@ -572,39 +486,36 @@ def supervise_grid(
         if journal is not None:
             journal.flush()
 
-    pending = {benchmark: group for benchmark, group in groups.items() if group}
-    # Workers parallelize across benchmark chunks, so one benchmark gains
-    # nothing from them.
-    if jobs > 1 and len(pending) > 1:
-        chunks = [
-            _Chunk(benchmark, list(group)) for benchmark, group in pending.items()
-        ]
+    # Workers parallelize across benchmarks, so one benchmark gains nothing
+    # from them.
+    if jobs > 1 and len(groups) > 1:
 
         def adopt_and_flush(cell: "GridCell", report: SimulationReport) -> None:
             adopt(cell, report)
             if journal is not None:
                 journal.flush()
 
-        exhausted = _run_parallel(
-            runner, chunks, jobs, config, failures, adopt_and_flush, stats
+        handoffs = _run_parallel(
+            runner, groups, jobs, config.timeout_s, failures, adopt_and_flush, stats
         )
-        for chunk in exhausted:
+        for benchmark, group, cause in handoffs:
             before = len(failed)
-            run_in_process(chunk.benchmark, chunk.cells)
+            run_in_process(group)
+            recovered = len(failed) == before
             failures.append(
                 FailureReport(
                     site="worker",
-                    benchmark=chunk.benchmark,
-                    cell=f"{chunk.benchmark} chunk",
-                    attempts=chunk.attempts,
-                    causes=tuple(chunk.causes),
-                    recovery="in-process" if len(failed) == before else "none",
-                    recovered=len(failed) == before,
+                    benchmark=benchmark,
+                    cell=f"{benchmark} chunk",
+                    attempts=2,  # the worker, then the parent
+                    causes=(cause,),
+                    recovery="in-process" if recovered else "none",
+                    recovered=recovered,
                 )
             )
     else:
-        for benchmark, group in pending.items():
-            run_in_process(benchmark, group)
+        for group in groups.values():
+            run_in_process(group)
 
     # -- outcome ------------------------------------------------------------
     runner.last_failures = list(failures)

@@ -318,7 +318,6 @@ def certify_workload(
     wpa_size: Optional[int] = None,
     page_size: Optional[int] = None,
     analyzer: Optional[Analyzer] = None,
-    sanitize: bool = True,
 ) -> WorkloadCertificate:
     """Build one workload's certificate (see the module docstring)."""
     if page_size is None:
@@ -335,7 +334,7 @@ def certify_workload(
     violations: Tuple[SanitizerViolation, ...] = ()
     # The sanitized replay needs a TLB-representable WPA; when the WPA is
     # unaligned the static rules (L004/V006) already carry the verdict.
-    sanitized = sanitize and wpa_size % machine.page_size == 0
+    sanitized = wpa_size % machine.page_size == 0
     if sanitized:
         events = runner.events(benchmark, policy, machine.icache.line_size)
         violations = tuple(

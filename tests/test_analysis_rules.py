@@ -19,7 +19,6 @@ from repro.analysis import (
     ProgramView,
 )
 from repro.analysis.context import _energy_mapping
-from repro.engine.grid import GridCell
 from repro.isa.instructions import Condition, Instruction, Opcode
 from repro.isa.registers import Register
 from repro.layout.layouts import Layout
@@ -206,17 +205,6 @@ def _trigger_c003():
     return AnalysisContext(subject="c", geometry=GeometrySpec(3000, 3, 24))
 
 
-def _trigger_c004():
-    cells = [GridCell("crc", "baseline"), GridCell("crc", "baseline")]
-    return AnalysisContext(subject="c", grid_cells=tuple(cells))
-
-
-def _trigger_c005():
-    return AnalysisContext(
-        subject="c", resilience={"retries": 3, "timeout_s": 0}
-    )
-
-
 # ---------------------------------------------------------------------------
 # Abstract-interpretation rules
 # ---------------------------------------------------------------------------
@@ -332,8 +320,6 @@ TRIGGERS = {
     "C001": _trigger_c001,
     "C002": _trigger_c002,
     "C003": _trigger_c003,
-    "C004": _trigger_c004,
-    "C005": _trigger_c005,
     "A001": _trigger_a001,
     "A002": _trigger_a002,
     "A003": _trigger_a003,

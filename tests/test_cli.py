@@ -105,6 +105,18 @@ class TestCommands:
         # stdout carries the data; a clean grid leaves stderr empty
         assert captured.err == ""
 
+    def test_cache_stats_reports_a_populated_store(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert main(["simulate", "--benchmark", "crc", "--cache-dir", cache, *FAST]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--dir", cache]) == 0
+        out = capsys.readouterr().out
+        [entries] = [line for line in out.splitlines() if line.startswith("entries")]
+        assert int(entries.split(":")[1]) > 0
+        assert any(line.startswith("size ") for line in out.splitlines())
+        # A fresh store counts no hits or misses, so it prints none.
+        assert "session" not in out
+
 
 class TestReportAndExport:
     def test_export_figure4_csv(self, capsys):

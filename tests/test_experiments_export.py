@@ -156,7 +156,7 @@ class TestReport:
                 resilience=resilience,
             )
 
-        fail_fast = ResilienceConfig(retries=0)
+        fail_fast = ResilienceConfig()
         first = make_runner(tmp_path, fail_fast)
         # Two firings: the first sha way-memoization cell fails on both
         # engines, so exactly one cell fails.

@@ -14,6 +14,7 @@ from repro.resilience.journal import (
     report_from_dict,
     report_to_dict,
 )
+from repro.resilience.policy import ResilienceConfig
 from repro.sim.machine import XSCALE_BASELINE
 
 KB = 1024
@@ -189,8 +190,6 @@ class TestResumeJournal:
         shard-lease lines with cell lines.  Resume adopts every recorded
         cell; the lease lines are skipped under the one-time corrupt-record
         warning."""
-        from repro.resilience.policy import ResilienceConfig
-
         cells = TestJournalLifecycleInGrids.CELLS
         cache = tmp_path / "cache"
         want = make_runner("off").run_grid(cells, jobs=1)
@@ -230,10 +229,7 @@ class TestJournalLifecycleInGrids:
 
     def test_resume_without_store_is_rejected(self):
         from repro.errors import ResilienceError
-        from repro.resilience.policy import DEFAULT_RESILIENCE
-        import dataclasses
 
-        runner = make_runner("off")
-        config = dataclasses.replace(DEFAULT_RESILIENCE, resume=True)
+        runner = make_runner("off", resilience=ResilienceConfig(resume=True))
         with pytest.raises(ResilienceError, match="resume"):
-            runner.run_grid(self.CELLS, jobs=1, resilience=config)
+            runner.run_grid(self.CELLS, jobs=1)

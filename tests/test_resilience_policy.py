@@ -65,8 +65,8 @@ class TestResilienceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"retries": -1},
             {"timeout_s": -5.0},
+            {"timeout_s": 0},
         ],
     )
     def test_invalid_settings_raise(self, kwargs):

@@ -135,10 +135,10 @@ class TestChaosGridAcceptance:
         config = ChaosConfig(
             seed=13,
             rules=(
-                # first crc worker dies at its entry point
-                ChaosRule("worker", "crash", match="crc@1", times=1),
-                # first sha worker hangs until the supervisor kills it
-                ChaosRule("worker", "hang", match="sha@1", times=1, delay_s=60.0),
+                # the crc worker dies at its entry point
+                ChaosRule("worker", "crash", match="crc", times=1),
+                # the sha worker hangs until the supervisor kills it
+                ChaosRule("worker", "hang", match="sha", times=1, delay_s=60.0),
                 # the vectorized kernel trips the sanitizer once per process
                 ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=1),
                 # and the trace store hits a full disk on first write
@@ -147,7 +147,7 @@ class TestChaosGridAcceptance:
         )
         runner = make_runner(
             tmp_path / "cache",
-            resilience=ResilienceConfig(retries=2, timeout_s=2.0),
+            resilience=ResilienceConfig(timeout_s=2.0),
         )
         with chaos.active(config):
             got = runner.run_grid(CELLS, jobs=2)
@@ -156,7 +156,7 @@ class TestChaosGridAcceptance:
         assert runner.last_failures, "chaos incidents must be reported"
         assert all(failure.recovered for failure in runner.last_failures)
         recoveries = {failure.recovery for failure in runner.last_failures}
-        assert "fresh-worker" in recoveries
+        assert "in-process" in recoveries
         causes = " ".join(
             cause for failure in runner.last_failures for cause in failure.causes
         )
@@ -248,7 +248,7 @@ class TestLocalPool:
         try:
             runner = make_runner(
                 tmp_path / "cache",
-                resilience=ResilienceConfig(retries=3, timeout_s=10.0),
+                resilience=ResilienceConfig(timeout_s=10.0),
             )
             rule = ChaosRule("store.save", "enospc", times=-1)
             with warnings.catch_warnings(record=True) as caught:
@@ -263,8 +263,9 @@ class TestLocalPool:
 
 
 class TestLadderChaos:
-    """Worker replacement + a kernel sanitizer trip in the replacement,
-    all in one supervised parallel run."""
+    """A hung worker's cells run in the parent, where a kernel sanitizer
+    trip falls back to the reference engine, all in one supervised
+    parallel run."""
 
     SWEEP_CELLS = [
         GridCell("crc", "way-placement", wpa_size=4 * KB),
@@ -276,14 +277,14 @@ class TestLadderChaos:
     def test_hung_worker_and_kernel_trip_recover(self):
         want = make_runner(engine="reference").run_grid(self.SWEEP_CELLS, jobs=1)
         runner = make_runner(
-            resilience=ResilienceConfig(retries=2, timeout_s=2.0),
+            resilience=ResilienceConfig(timeout_s=2.0),
         )
         config = ChaosConfig(
             seed=13,
             rules=(
-                # the first crc worker hangs until the supervisor kills it
-                ChaosRule("worker", "hang", match="crc@1", times=1, delay_s=60.0),
-                # in its replacement, one way-placement kernel trips the
+                # the crc worker hangs until the supervisor kills it
+                ChaosRule("worker", "hang", match="crc", times=1, delay_s=60.0),
+                # in the parent, one way-placement kernel trips the
                 # sanitizer and its cell falls back to the reference engine
                 ChaosRule("kernel", "sanitizer", match="crc:way-placement", times=1),
             ),
@@ -294,7 +295,7 @@ class TestLadderChaos:
         incidents = runner.last_failures
         assert all(f.recovered for f in incidents)
         recoveries = {f.recovery for f in incidents}
-        assert {"fresh-worker", "engine-fallback"} <= recoveries
+        assert {"in-process", "engine-fallback"} <= recoveries
         causes = " ".join(c for f in incidents for c in f.causes)
         assert "timed out" in causes
 
@@ -319,7 +320,7 @@ class TestPartialCompletion:
     """Satellite: completed work is adopted before a failure surfaces."""
 
     def test_serial_failure_keeps_completed_cells(self):
-        runner = make_runner(resilience=ResilienceConfig(retries=0))
+        runner = make_runner(resilience=ResilienceConfig())
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure) as info:
@@ -334,7 +335,7 @@ class TestPartialCompletion:
     def test_parallel_failure_keeps_other_chunks_and_partial_chunks(self):
         """A chunk that fails mid-way ships its completed cells back; the
         supervisor adopts them (and every other chunk) before raising."""
-        runner = make_runner(resilience=ResilienceConfig(retries=0))
+        runner = make_runner(resilience=ResilienceConfig())
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure):
@@ -343,8 +344,28 @@ class TestPartialCompletion:
             assert runner.has_report(cell)
         assert not runner.has_report(CELLS[3])
 
+    def test_static_error_in_a_worker_runs_once_more_in_the_parent(self):
+        """A worker that reports a failed cell hands it to the parent,
+        which runs it once: one cell incident per engine ladder, one
+        unrecovered worker incident, and the other worker's cell kept."""
+        bad, good = GridCell("crc", "no-such-scheme"), GridCell("sha", "baseline")
+        runner = make_runner()
+        with pytest.raises(CellFailure):
+            runner.run_grid([bad, good], jobs=2)
+        assert runner.has_report(good)
+        assert runner.last_grid.failed == (cell_content_key(bad),)
+        cell_incidents = [
+            f for f in runner.last_failures if f.site == "cell" and f.benchmark == "crc"
+        ]
+        assert len(cell_incidents) == 2  # the worker's ladder, then the parent's
+        [worker] = [f for f in runner.last_failures if f.site == "worker"]
+        assert worker.benchmark == "crc"
+        assert worker.attempts == 2
+        assert worker.recovery == "none" and not worker.recovered
+        assert "RetriesExhausted" in worker.causes[0]
+
     def test_cell_failure_chains_the_underlying_error(self):
-        runner = make_runner(resilience=ResilienceConfig(retries=0))
+        runner = make_runner(resilience=ResilienceConfig())
         rule = ChaosRule("cell", "raise", match="crc", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure) as info:
@@ -357,7 +378,7 @@ class TestResumeAcceptance:
 
     def test_interrupted_grid_resumes_from_journal(self, tmp_path):
         cache = tmp_path / "cache"
-        fail_fast = ResilienceConfig(retries=0)
+        fail_fast = ResilienceConfig()
         first = make_runner(cache, resilience=fail_fast)
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
@@ -384,7 +405,7 @@ class TestResumeAcceptance:
 
     def test_cache_clear_discards_grid_journals(self, tmp_path):
         cache = tmp_path / "cache"
-        first = make_runner(cache, resilience=ResilienceConfig(retries=0))
+        first = make_runner(cache, resilience=ResilienceConfig())
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure):
@@ -421,7 +442,7 @@ class TestRunnerSurface:
         from repro.errors import ResilienceError
 
         with pytest.raises(ResilienceError):
-            make_runner(resilience=ResilienceConfig(retries=-2))
+            make_runner(resilience=ResilienceConfig(timeout_s=-2.0))
 
     def test_default_config_reports_clean_summary(self):
         runner = make_runner()
@@ -483,8 +504,6 @@ class TestCliFlags:
                 "figure4",
                 "--benchmarks",
                 "crc",
-                "--retries",
-                "5",
                 "--timeout",
                 "30",
                 "--resume",
@@ -492,15 +511,8 @@ class TestCliFlags:
         )
         runner = _make_runner(args)
         config = runner.resilience
-        assert config.retries == 5
         assert config.timeout_s == 30.0
         assert config.resume is True
-
-    def test_chaos_seed_flags_are_mutually_exclusive(self, capsys):
-        from repro.cli import main
-
-        assert main(["chaos", "--seed", "1", "--seeds", "1,2"]) == 2
-        assert "not both" in capsys.readouterr().err
 
     def test_no_flags_means_no_explicit_config(self):
         from repro.cli import _make_runner, build_parser
