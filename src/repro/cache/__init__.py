@@ -8,12 +8,7 @@ predicts whether the next access falls inside the way-placement area.
 """
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import (
-    ReplacementPolicy,
-    RoundRobinReplacement,
-    RandomReplacement,
-    LruReplacement,
-)
+from repro.cache.replacement import RoundRobinReplacement
 from repro.cache.cam_cache import CamCache
 from repro.cache.itlb import InstructionTlb
 from repro.cache.wayhint import WayHintBit
@@ -21,10 +16,7 @@ from repro.cache.access import FetchCounters
 
 __all__ = [
     "CacheGeometry",
-    "ReplacementPolicy",
     "RoundRobinReplacement",
-    "RandomReplacement",
-    "LruReplacement",
     "CamCache",
     "InstructionTlb",
     "WayHintBit",

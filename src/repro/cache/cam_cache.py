@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import ReplacementPolicy, RoundRobinReplacement
+from repro.cache.replacement import RoundRobinReplacement
 from repro.errors import CacheConfigError
 
 __all__ = ["CamCache"]
@@ -24,17 +24,10 @@ __all__ = ["CamCache"]
 class CamCache:
     """Tag store of a set-associative cache with explicit-way fills."""
 
-    def __init__(self, geometry: CacheGeometry, policy: Optional[ReplacementPolicy] = None):
+    def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
         sets, ways = geometry.num_sets, geometry.ways
-        if policy is None:
-            policy = RoundRobinReplacement(sets, ways)
-        if policy.num_sets != sets or policy.ways != ways:
-            raise CacheConfigError(
-                f"replacement policy geometry {policy.num_sets}x{policy.ways} "
-                f"does not match cache {sets}x{ways}"
-            )
-        self.policy = policy
+        self.policy = RoundRobinReplacement(sets, ways)
         self._tags: List[List[int]] = [[-1] * ways for _ in range(sets)]
         self._generation: List[List[int]] = [[0] * ways for _ in range(sets)]
         self._fills = 0
@@ -69,8 +62,8 @@ class CamCache:
     def fill(self, set_index: int, tag: int, way: Optional[int] = None) -> Tuple[int, bool]:
         """Install ``tag``; returns ``(way_used, evicted_valid_line)``.
 
-        ``way`` forces the paper's explicit way placement; ``None`` delegates
-        the victim choice to the replacement policy.
+        ``way`` forces the paper's explicit way placement; ``None`` takes
+        the round-robin victim.
         """
         if tag < 0:
             raise CacheConfigError(f"tags must be non-negative, got {tag}")
@@ -81,7 +74,6 @@ class CamCache:
         tags[way] = tag
         self._generation[set_index][way] += 1
         self._fills += 1
-        self.policy.on_fill(set_index, way)
         return way, evicted_valid
 
     def invalidate_all(self) -> None:

@@ -1,29 +1,27 @@
-"""Replacement policies for set-associative caches.
+"""Round-robin replacement, XScale's policy.
 
-XScale uses round-robin replacement, which is the default throughout the
-reproduction; random and LRU exist for ablations and for the filter cache.
-Policies are per-cache objects holding per-set state; ``victim`` proposes the
-way to replace, ``on_fill``/``on_access`` keep the state current.
+Every cache in the reproduction replaces round robin: the reference
+:class:`~repro.cache.cam_cache.CamCache`, the vectorized kernels, the
+static counter bounds and the conflict replay all model exactly this
+policy, so it is the only one.  The policy holds a rotating pointer per
+set; ``victim`` proposes the way to replace and advances the pointer.
 """
 
 from __future__ import annotations
 
-import random
 from typing import List
 
 from repro.errors import CacheConfigError
 
-__all__ = [
-    "ReplacementPolicy",
-    "RoundRobinReplacement",
-    "RandomReplacement",
-    "LruReplacement",
-    "make_policy",
-]
+__all__ = ["RoundRobinReplacement"]
 
 
-class ReplacementPolicy:
-    """Interface for per-set replacement decisions."""
+class RoundRobinReplacement:
+    """XScale's policy: a rotating pointer per set.
+
+    Way-placed fills land in a mandated way *without* consulting the policy,
+    so the pointer only advances when the policy actually chose the victim.
+    """
 
     def __init__(self, num_sets: int, ways: int):
         if num_sets < 1 or ways < 1:
@@ -33,75 +31,10 @@ class ReplacementPolicy:
             )
         self.num_sets = num_sets
         self.ways = ways
-
-    def victim(self, set_index: int) -> int:
-        """Way to evict next in ``set_index``."""
-        raise NotImplementedError
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        """A line was filled into (set, way)."""
-
-    def on_access(self, set_index: int, way: int) -> None:
-        """A hit touched (set, way)."""
-
-
-class RoundRobinReplacement(ReplacementPolicy):
-    """XScale's policy: a rotating pointer per set.
-
-    Way-placed fills land in a mandated way *without* consulting the policy,
-    so the pointer only advances when the policy actually chose the victim.
-    """
-
-    def __init__(self, num_sets: int, ways: int):
-        super().__init__(num_sets, ways)
         self._pointer: List[int] = [0] * num_sets
 
     def victim(self, set_index: int) -> int:
+        """Way to evict next in ``set_index``."""
         way = self._pointer[set_index]
         self._pointer[set_index] = (way + 1) % self.ways
         return way
-
-
-class RandomReplacement(ReplacementPolicy):
-    """Uniformly random victim, seeded for reproducibility."""
-
-    def __init__(self, num_sets: int, ways: int, seed: int = 0):
-        super().__init__(num_sets, ways)
-        self._rng = random.Random(seed)
-
-    def victim(self, set_index: int) -> int:
-        return self._rng.randrange(self.ways)
-
-
-class LruReplacement(ReplacementPolicy):
-    """True LRU, tracked with per-set recency stacks."""
-
-    def __init__(self, num_sets: int, ways: int):
-        super().__init__(num_sets, ways)
-        self._stacks: List[List[int]] = [list(range(ways)) for _ in range(num_sets)]
-
-    def victim(self, set_index: int) -> int:
-        return self._stacks[set_index][0]  # least recently used at the front
-
-    def _touch(self, set_index: int, way: int) -> None:
-        stack = self._stacks[set_index]
-        stack.remove(way)
-        stack.append(way)
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
-
-    def on_access(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
-
-
-def make_policy(name: str, num_sets: int, ways: int, seed: int = 0) -> ReplacementPolicy:
-    """Factory by name: ``round-robin``, ``random``, or ``lru``."""
-    name = name.lower()
-    if name in ("round-robin", "roundrobin", "rr"):
-        return RoundRobinReplacement(num_sets, ways)
-    if name == "random":
-        return RandomReplacement(num_sets, ways, seed)
-    if name == "lru":
-        return LruReplacement(num_sets, ways)
-    raise CacheConfigError(f"unknown replacement policy {name!r}")

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "optimizer)"
             ),
         )
-        _add_budget_arguments(figure)
+        _add_replay_arguments(figure)
         _add_jobs_argument(figure)
 
     simulate = sub.add_parser("simulate", help="run one configuration")
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[policy.value for policy in LayoutPolicy],
         help="override the scheme's default layout pairing",
     )
-    _add_budget_arguments(simulate)
+    _add_replay_arguments(simulate)
 
     inspect = sub.add_parser("inspect", help="show the compiler pass's work")
     inspect.add_argument("--benchmark", required=True, choices=benchmark_names())
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--output", help="write the markdown report to this file")
     report.add_argument("--benchmarks", nargs="+", metavar="NAME")
-    _add_budget_arguments(report)
+    _add_replay_arguments(report)
     _add_jobs_argument(report)
 
     export = sub.add_parser("export", help="figure data as CSV or JSON")
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", default="csv", choices=["csv", "json"])
     export.add_argument("--output", help="write to this file instead of stdout")
     export.add_argument("--benchmarks", nargs="+", metavar="NAME")
-    _add_budget_arguments(export)
+    _add_replay_arguments(export)
     _add_jobs_argument(export)
 
     cache = sub.add_parser(
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="WPA size to certify against (default: fitted to the binary)",
     )
     verify.add_argument("--page-kb", type=int, default=1)
-    _add_budget_arguments(verify)
+    _add_replay_arguments(verify)
 
     bench = sub.add_parser("bench", help="benchmark snapshot utilities")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
@@ -306,20 +306,25 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
         help="profiling trace length (default 100000 or $REPRO_PROFILE_INSTRUCTIONS)",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["fast", "reference"],
-        help="replay engine (default fast: vectorized kernels where a "
-        "scheme has one; 'reference' runs the object-model schemes; see "
-        "docs/performance.md)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help=(
             "trace cache directory, or 'off' to disable "
             "(default: $REPRO_CACHE_DIR or .repro_cache)"
         ),
+    )
+
+
+def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
+    """The budgets plus the flags that only matter to commands that replay."""
+    _add_budget_arguments(parser)
+    parser.add_argument(
+        "--engine",
+        default=None,
+        choices=["fast", "reference"],
+        help="replay engine (default fast: vectorized kernels where a "
+        "scheme has one; 'reference' runs the object-model schemes; see "
+        "docs/performance.md)",
     )
     parser.add_argument(
         "--strict",

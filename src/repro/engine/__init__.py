@@ -5,7 +5,7 @@ Three layers, each usable on its own:
 * :mod:`repro.engine.kernels` — NumPy fast paths replaying a
   :class:`~repro.trace.events.LineEventTrace` with counters bit-identical to
   the reference schemes (``baseline`` and ``way-placement``), over the
-  per-trace arrays of :mod:`repro.engine.arrays`;
+  per-trace arrays that :mod:`repro.engine.arrays` computes on each call;
 * :mod:`repro.engine.store` — a content-hash-keyed on-disk cache for block
   traces, profiles, and line-event traces (``REPRO_CACHE_DIR``, default
   ``.repro_cache/``), so fresh processes stop re-walking CFGs;
@@ -19,13 +19,7 @@ the ``fast`` and ``reference`` engines, and ``docs/robustness.md`` for the
 supervision and fault-injection story.
 """
 
-from repro.engine.arrays import (
-    geometry_lists,
-    itlb_misses,
-    page_numbers,
-    way_hints,
-    wpa_flags,
-)
+from repro.engine.arrays import itlb_misses, way_hints, wpa_flags
 from repro.engine.grid import GridCell
 from repro.engine.kernels import (
     FAST_SCHEMES,
@@ -41,10 +35,8 @@ __all__ = [
     "TraceStore",
     "baseline_counters",
     "fast_counters",
-    "geometry_lists",
     "itlb_misses",
     "layout_digest",
-    "page_numbers",
     "program_digest",
     "way_hints",
     "way_placement_counters",

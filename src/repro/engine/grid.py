@@ -8,9 +8,8 @@ them under the supervisor (:mod:`repro.resilience.supervisor`) at any
 ``jobs``: engine fallback, worker crash isolation and checkpoint–resume,
 in-process at ``jobs=1`` and on a local worker pool, chunked by
 benchmark, otherwise.  Each cell replays on its own — the
-vectorized kernel where one exists, else the reference scheme — over the
-per-trace arrays that cells sharing a trace and geometry reuse
-(:mod:`repro.engine.arrays`).
+vectorized kernel where one exists, else the reference scheme — and the
+cells of a benchmark share only its traces.
 """
 
 from __future__ import annotations

@@ -4,10 +4,13 @@ The reference implementations in :mod:`repro.schemes` are the oracle: they
 model every component as an object and pay Python dispatch on every event.
 These kernels compute everything that does *not* depend on cache contents —
 fetch totals, search/precharge counts, way-hint outcomes, same-line
-bookkeeping — as NumPy reductions over the precomputed per-trace arrays
-(:mod:`repro.engine.arrays`), leaving one tight loop for the sequential
-cache state (tag residency and round-robin pointers), driven by flat Python
-lists and per-set dictionaries instead of method calls.
+bookkeeping — as NumPy reductions over the per-trace arrays of
+:mod:`repro.engine.arrays`, leaving one tight loop for the sequential
+cache state.  That loop keys residency by line address: one dict maps each
+resident line to its way, so a hit costs a single lookup, and the set
+index (and, for way-placement, the mandated way) is derived only on a miss.
+It relies on the addresses being line-aligned, as
+:class:`~repro.trace.events.LineEventTrace` documents.
 
 Two properties are load-bearing and enforced by the equivalence suite:
 
@@ -22,20 +25,14 @@ Two properties are load-bearing and enforced by the equivalence suite:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.cache.access import FetchCounters
 from repro.cache.geometry import CacheGeometry
 from repro.errors import CacheConfigError, SchemeError
-from repro.engine.arrays import (
-    geometry_lists,
-    itlb_misses,
-    way_hints,
-    wpa_flag_list,
-    wpa_flags,
-)
+from repro.engine.arrays import itlb_misses, way_hints, wpa_flags
 from repro.trace.events import LineEventTrace
 from repro.utils.bitops import log2_exact, mask
 
@@ -101,27 +98,30 @@ def baseline_counters(
     counters.itlb_accesses = n
     counters.itlb_misses = itlb_misses(events, page_size, itlb_entries)
 
-    set_indices, tags, _ = geometry_lists(events, geometry)
-    way_of = [dict() for _ in range(geometry.num_sets)]
-    tag_at = [[-1] * ways for _ in range(geometry.num_sets)]
+    # Sequential cache state, keyed by line address: a hit is one dict
+    # lookup, and only a miss derives the set whose round-robin pointer
+    # picks the victim.
+    offset_bits = geometry.offset_bits
+    set_mask = mask(geometry.set_bits)
+    way_of: Dict[int, int] = {}
+    line_at = [[-1] * ways for _ in range(geometry.num_sets)]
     pointer = [0] * geometry.num_sets
-    hits = misses = evictions = 0
-    for s, t in zip(set_indices, tags):
-        resident = way_of[s]
-        if t in resident:
-            hits += 1
-        else:
-            misses += 1
-            p = pointer[s]
-            pointer[s] = p + 1 if p + 1 < ways else 0
-            row = tag_at[s]
-            old = row[p]
-            if old != -1:
-                del resident[old]
-                evictions += 1
-            row[p] = t
-            resident[t] = p
-    counters.hits = hits
+    misses = evictions = 0
+    for line in events.line_addrs.tolist():
+        if line in way_of:
+            continue
+        misses += 1
+        s = (line >> offset_bits) & set_mask
+        p = pointer[s]
+        pointer[s] = p + 1 if p + 1 < ways else 0
+        row = line_at[s]
+        old = row[p]
+        if old != -1:
+            del way_of[old]
+            evictions += 1
+        row[p] = line
+        way_of[line] = p
+    counters.hits = n - misses
     counters.misses = misses
     counters.fills = misses
     counters.evictions = evictions
@@ -194,32 +194,33 @@ def way_placement_counters(
     # only ever resident in its mandated way) makes the single-way probe of
     # a correctly predicted access equivalent to a membership test, so one
     # loop covers all three prediction branches of the reference scheme.
-    set_indices, tags, _ = geometry_lists(events, geometry)
+    offset_bits = geometry.offset_bits
+    set_mask = mask(geometry.set_bits)
+    tag_shift = offset_bits + geometry.set_bits
     way_mask = mask(geometry.way_bits)
-    way_of = [dict() for _ in range(geometry.num_sets)]
-    tag_at = [[-1] * ways for _ in range(geometry.num_sets)]
+    way_of: Dict[int, int] = {}
+    line_at = [[-1] * ways for _ in range(geometry.num_sets)]
     pointer = [0] * geometry.num_sets
-    hits = misses = wp_fills = evictions = 0
-    for s, t, in_wpa in zip(set_indices, tags, wpa_flag_list(events, wpa_size)):
-        resident = way_of[s]
-        if t in resident:
-            hits += 1
+    misses = wp_fills = evictions = 0
+    for line in events.line_addrs.tolist():
+        if line in way_of:
+            continue
+        misses += 1
+        s = (line >> offset_bits) & set_mask
+        if line < wpa_size:
+            p = (line >> tag_shift) & way_mask
+            wp_fills += 1
         else:
-            misses += 1
-            if in_wpa:
-                p = t & way_mask
-                wp_fills += 1
-            else:
-                p = pointer[s]
-                pointer[s] = p + 1 if p + 1 < ways else 0
-            row = tag_at[s]
-            old = row[p]
-            if old != -1:
-                del resident[old]
-                evictions += 1
-            row[p] = t
-            resident[t] = p
-    counters.hits = hits
+            p = pointer[s]
+            pointer[s] = p + 1 if p + 1 < ways else 0
+        row = line_at[s]
+        old = row[p]
+        if old != -1:
+            del way_of[old]
+            evictions += 1
+        row[p] = line
+        way_of[line] = p
+    counters.hits = n - misses
     counters.misses = misses
     counters.fills = misses
     counters.wp_fills = wp_fills

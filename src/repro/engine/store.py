@@ -56,6 +56,7 @@ import warnings
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
+from repro.errors import ProfileError
 from repro.layout.layouts import Layout
 from repro.profiling.profile_data import ProfileData
 from repro.program.program import Program
@@ -144,6 +145,28 @@ def layout_digest(layout: Layout) -> str:
     for uid in layout.block_order:
         digest.update(f"{uid}@{layout.address_of(uid)}\n".encode())
     return digest.hexdigest()[:16]
+
+
+def _save_profile(profile: ProfileData, path: Union[str, Path], key: str = "") -> None:
+    """Write a profile entry: its JSON record stamped with the cache key."""
+    payload = {**profile.to_payload(), "cache_kind": _PROFILE_KIND, "cache_key": key}
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _load_profile(
+    path: Union[str, Path], expected_key: Optional[str] = None
+) -> ProfileData:
+    """Read a profile entry written by :func:`_save_profile`.
+
+    Like :func:`repro.trace.io.load_events`: a stale or foreign entry
+    raises, and transient filesystem errors propagate as :class:`OSError`.
+    """
+    payload = json.loads(Path(path).read_text())
+    if payload.get("cache_kind") != _PROFILE_KIND or (
+        expected_key is not None and payload.get("cache_key") != expected_key
+    ):
+        raise ProfileError(f"{path} is a stale or foreign profile cache entry")
+    return ProfileData.from_payload(payload, path)
 
 
 class TraceStore:
@@ -258,9 +281,10 @@ class TraceStore:
             pass
 
     # ------------------------------------------------------------------
-    # Block traces and line-event traces (via repro.trace.io)
+    # Entries: block and line-event traces (via repro.trace.io) and
+    # profiles, each a load/save pair that checks and stamps the key
     # ------------------------------------------------------------------
-    def _load_trace(
+    def _load_entry(
         self, kind: str, key: str, load: Callable[..., object]
     ) -> Optional[object]:
         path = self.path_for(kind, key)
@@ -282,13 +306,13 @@ class TraceStore:
         self._hit(kind)
         return artifact
 
-    def _save_trace(
+    def _save_entry(
         self,
         kind: str,
         key: str,
         artifact: object,
         save: Callable[..., None],
-        corrupt_member: str,
+        corrupt_member: str = "",
     ) -> Optional[Path]:
         if self.writes_disabled:
             return None
@@ -299,8 +323,9 @@ class TraceStore:
             self.root.mkdir(parents=True, exist_ok=True)
             save(artifact, tmp, key=key)
             # Fault injection tears real payload bytes, not the directory
-            # inode: aim it at the biggest member.
-            corrupt_file("store.save", f"{kind}:{key}", tmp / corrupt_member)
+            # inode: aim it at the biggest member (or the file itself).
+            target = tmp / corrupt_member if corrupt_member else tmp
+            corrupt_file("store.save", f"{kind}:{key}", target)
             self._replace(tmp, path)
         except OSError as error:
             self._cleanup(tmp)
@@ -309,69 +334,29 @@ class TraceStore:
         return path
 
     def load_block_trace(self, key: str) -> Optional[BlockTrace]:
-        trace = self._load_trace("blocks", key, trace_io.load_block_trace)
+        trace = self._load_entry("blocks", key, trace_io.load_block_trace)
         return trace  # type: ignore[return-value]
 
     def save_block_trace(self, key: str, trace: BlockTrace) -> Optional[Path]:
-        return self._save_trace(
+        return self._save_entry(
             "blocks", key, trace, trace_io.save_block_trace, "uids.npy"
         )
 
     def load_events(self, key: str) -> Optional[LineEventTrace]:
-        events = self._load_trace("events", key, trace_io.load_events)
+        events = self._load_entry("events", key, trace_io.load_events)
         return events  # type: ignore[return-value]
 
     def save_events(self, key: str, events: LineEventTrace) -> Optional[Path]:
-        return self._save_trace(
+        return self._save_entry(
             "events", key, events, trace_io.save_events, "line_addrs.npy"
         )
 
-    # ------------------------------------------------------------------
-    # Profiles (.json, reusing ProfileData's own persistence format)
-    # ------------------------------------------------------------------
     def load_profile(self, key: str) -> Optional[ProfileData]:
-        path = self.path_for("profile", key)
-        profile = self._read_profile(path, key) if path.exists() else None
-        if profile is None:
-            self._miss("profile")
-            return None
-        self._hit("profile")
-        return profile
-
-    def _read_profile(self, path: Path, key: str) -> Optional[ProfileData]:
-        try:
-            chaos_point("store.load", f"profile:{key}")
-            payload = json.loads(path.read_text())
-            if (
-                payload.get("cache_kind") != _PROFILE_KIND
-                or payload.get("cache_key") != key
-            ):
-                raise ValueError("stale or foreign profile cache entry")
-            return ProfileData.load(path)
-        except Exception:
-            self._discard(path)
-            return None
+        profile = self._load_entry("profile", key, _load_profile)
+        return profile  # type: ignore[return-value]
 
     def save_profile(self, key: str, profile: ProfileData) -> Optional[Path]:
-        if self.writes_disabled:
-            return None
-        path = self.path_for("profile", key)
-        tmp = self._tmp_for(path)
-        try:
-            chaos_point("store.save", f"profile:{key}")
-            self.root.mkdir(parents=True, exist_ok=True)
-            profile.save(tmp)
-            payload = json.loads(tmp.read_text())
-            payload["cache_kind"] = _PROFILE_KIND
-            payload["cache_key"] = key
-            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-            corrupt_file("store.save", f"profile:{key}", tmp)
-            self._replace(tmp, path)
-        except OSError as error:
-            self._cleanup(tmp)
-            self._disable_writes(error)
-            return None
-        return path
+        return self._save_entry("profile", key, profile, _save_profile)
 
     # ------------------------------------------------------------------
     # Introspection and management (the ``repro cache`` CLI)

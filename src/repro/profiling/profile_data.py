@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.errors import ProfileError
 
@@ -47,8 +47,9 @@ class ProfileData:
     # Persistence (profiles are the only artefact the compiler pass needs,
     # so they get a stable on-disk format).
     # ------------------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> None:
-        payload = {
+    def to_payload(self) -> Dict[str, Any]:
+        """The JSON-ready record :meth:`save` writes."""
+        return {
             "program": self.program_name,
             "input": self.input_name,
             "num_instructions": self.num_instructions,
@@ -58,7 +59,9 @@ class ProfileData:
                 for (src, dst), count in self.edge_counts.items()
             },
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+    def save(self, path: Union[str, Path]) -> None:
+        Path(path).write_text(json.dumps(self.to_payload(), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ProfileData":
@@ -66,6 +69,11 @@ class ProfileData:
             payload = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ProfileError(f"cannot load profile from {path}: {exc}") from exc
+        return cls.from_payload(payload, path)
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any], source: Union[str, Path]) -> "ProfileData":
+        """Rebuild a profile from a :meth:`to_payload` record read from ``source``."""
         try:
             edge_counts: Dict[Tuple[int, int], int] = {}
             for key, count in payload.get("edge_counts", {}).items():
@@ -82,4 +90,4 @@ class ProfileData:
                 num_instructions=int(payload.get("num_instructions", 0)),
             )
         except (KeyError, ValueError) as exc:
-            raise ProfileError(f"malformed profile file {path}: {exc}") from exc
+            raise ProfileError(f"malformed profile file {source}: {exc}") from exc

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cam_cache import CamCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import LruReplacement
 from repro.errors import CacheConfigError
 
 
@@ -48,10 +47,6 @@ class TestFindAndFill:
         cache = small_cache()
         with pytest.raises(CacheConfigError):
             cache.fill(0, -2)
-
-    def test_policy_geometry_checked(self):
-        with pytest.raises(CacheConfigError, match="does not match"):
-            CamCache(CacheGeometry(256, 4, 16), LruReplacement(2, 4))
 
 
 class TestGenerations:

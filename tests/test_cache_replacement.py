@@ -1,13 +1,8 @@
-"""Unit tests for replacement policies."""
+"""Unit tests for round-robin replacement."""
 
 import pytest
 
-from repro.cache.replacement import (
-    LruReplacement,
-    RandomReplacement,
-    RoundRobinReplacement,
-    make_policy,
-)
+from repro.cache.replacement import RoundRobinReplacement
 from repro.errors import CacheConfigError
 
 
@@ -26,40 +21,3 @@ class TestRoundRobin:
         with pytest.raises(CacheConfigError):
             RoundRobinReplacement(0, 4)
 
-
-class TestRandom:
-    def test_within_range_and_deterministic(self):
-        a = RandomReplacement(1, 8, seed=3)
-        b = RandomReplacement(1, 8, seed=3)
-        va = [a.victim(0) for _ in range(20)]
-        vb = [b.victim(0) for _ in range(20)]
-        assert va == vb
-        assert all(0 <= v < 8 for v in va)
-
-
-class TestLru:
-    def test_evicts_least_recent(self):
-        policy = LruReplacement(1, 3)
-        for way in range(3):
-            policy.on_fill(0, way)
-        policy.on_access(0, 0)  # order now: 1, 2, 0
-        assert policy.victim(0) == 1
-
-    def test_fill_refreshes(self):
-        policy = LruReplacement(1, 2)
-        policy.on_fill(0, 0)
-        policy.on_fill(0, 1)
-        policy.on_fill(0, 0)
-        assert policy.victim(0) == 1
-
-
-class TestFactory:
-    def test_names(self):
-        assert isinstance(make_policy("rr", 2, 2), RoundRobinReplacement)
-        assert isinstance(make_policy("round-robin", 2, 2), RoundRobinReplacement)
-        assert isinstance(make_policy("random", 2, 2), RandomReplacement)
-        assert isinstance(make_policy("lru", 2, 2), LruReplacement)
-
-    def test_unknown_name(self):
-        with pytest.raises(CacheConfigError, match="unknown replacement"):
-            make_policy("plru", 2, 2)

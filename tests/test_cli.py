@@ -24,6 +24,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--benchmark", "nope"])
 
+    def test_replay_flags_only_on_commands_that_replay(self):
+        """lint, inspect and choose-wpa never replay a trace, so they
+        reject the replay flags at parse time instead of ignoring them."""
+        for command in (
+            ["lint", "crc"],
+            ["inspect", "--benchmark", "crc"],
+            ["choose-wpa", "--benchmark", "crc"],
+        ):
+            build_parser().parse_args(command + FAST + ["--cache-dir", "off"])
+            for flag in (["--engine", "fast"], ["--strict"], ["--sanitize"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    build_parser().parse_args(command + flag)
+                assert exit_info.value.code == 2, (command, flag)
+
 
 class TestCommands:
     def test_list_benchmarks(self, capsys):

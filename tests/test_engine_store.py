@@ -256,6 +256,19 @@ class TestStoreFailureModes:
         assert path.exists()
         assert_same_block_trace(store.load_block_trace("k1"), trace)
 
+    def test_transient_read_fault_keeps_the_profile(self, store, fast_runner):
+        """Profiles share the trace entries' load path: a read ``OSError``
+        misses without deleting a valid profile."""
+        profile = fast_runner.profile("crc")
+        path = store.save_profile("p1", profile)
+        rule = ChaosRule("store.load", "eacces", times=-1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            assert store.load_profile("p1") is None
+        assert path.exists()
+        loaded = store.load_profile("p1")
+        assert loaded is not None and loaded.block_counts == profile.block_counts
+        assert store.kind_hits["profile"] == 1
+
 
 class TestFormatV2AndMigration:
     """Format v2 entry directories, and entries written before them: an

@@ -4,7 +4,8 @@ Every bundled workload's evaluation trace replays through the vectorized
 ``engine.kernels`` and then through the full post-hoc sanitizer array
 checks — zero violations expected; a WPA sweep's per-cell kernel
 counters must come back bit-identical to the reference schemes on every
-workload; and both tiers' counters must sit inside the abstract
+workload, and Figure 6's own cells on two workloads at each of its nine
+cache geometries; and both tiers' counters must sit inside the abstract
 interpretation's static bounds (the S008 invariant).  One session-scoped
 runner serves all parametrized cases so profiling, layout, and trace
 generation happen once per benchmark.
@@ -12,14 +13,23 @@ generation happen once per benchmark.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.engine.kernels import fast_counters, way_placement_counters
 from repro.errors import SanitizerError
+from repro.experiments.figures import (
+    FIGURE6_CACHE_SIZES,
+    FIGURE6_WAYS,
+    FIGURE6_WPA_SIZES,
+)
 from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
 from repro.schemes import BaselineScheme, WayPlacementScheme
+from repro.schemes.base import make_scheme
 from repro.sim.machine import XSCALE_BASELINE
+from repro.sim.simulator import scheme_options
 from repro.utils.bitops import align_up
 from repro.verify.sanitizer import SanitizerHook, sanitize_events
 from repro.workloads.mibench import benchmark_names
@@ -85,6 +95,34 @@ def test_kernels_agree_with_the_reference_schemes(agreement_runner, workload):
         kernel = fast_counters(scheme, events, MACHINE.icache, **options)
         reference = _scheme_class(scheme)(MACHINE.icache, **options).run(events)
         assert kernel == reference, f"{scheme} {options} diverges on {workload}"
+
+
+# At this budget these two evict, with both mandated-way and round-robin
+# fills, in every way-placement cell of Figure 6; smaller footprints such as
+# crc's and sha's never evict at any of its geometries.
+@pytest.mark.parametrize("workload", ["cjpeg", "tiffdither"])
+def test_kernels_agree_on_the_figure6_geometries(agreement_runner, workload):
+    """Figure 6's cells — baseline on the original layout, way-placement at
+    each Figure 6 WPA size on the profile-chained layout — replay
+    field-for-field like the reference schemes at all nine geometries."""
+    cells = [("baseline", LayoutPolicy.ORIGINAL, 0)] + [
+        ("way-placement", LayoutPolicy.WAY_PLACEMENT, wpa) for wpa in FIGURE6_WPA_SIZES
+    ]
+    for size in FIGURE6_CACHE_SIZES:
+        for ways in FIGURE6_WAYS:
+            machine = XSCALE_BASELINE.with_icache(size, ways)
+            for scheme, policy, wpa in cells:
+                events = agreement_runner.events(
+                    workload, policy, machine.icache.line_size
+                )
+                options = scheme_options(machine, scheme, wpa_size=wpa)
+                kernel = fast_counters(scheme, events, machine.icache, **options)
+                reference = make_scheme(scheme, machine.icache, **options).run(events)
+                assert kernel is not None
+                assert asdict(kernel) == asdict(reference), (
+                    f"{scheme} {options} diverges on {workload} at "
+                    f"{size // 1024}KB/{ways}-way"
+                )
 
 
 @pytest.mark.parametrize("workload", benchmark_names())
