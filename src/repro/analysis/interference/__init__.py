@@ -8,8 +8,7 @@ replay that decomposes misses into cold + conflict per set.
 Consumers: the ``repro verify`` certificate (per configuration, the
 graph summary and the replay checked against the engine's measured
 misses; :mod:`repro.verify.certify`), the ``I`` lint rule layer
-(:mod:`repro.analysis.rules.interference_rules`), the conflict-aware
-layout optimizer (:mod:`repro.layout.conflict_aware`), and the S009
+(:mod:`repro.analysis.rules.interference_rules`), and the S009
 sanitizer invariant.  See ``docs/static_analysis.md``.
 """
 
@@ -26,7 +25,6 @@ from repro.analysis.interference.graph import (
     certify_conflict_free,
     graph_for,
     loop_nest_for,
-    predicted_conflict_weight,
 )
 from repro.analysis.interference.replay import (
     ConflictReplay,
@@ -53,6 +51,5 @@ __all__ = [
     "conflict_replay",
     "graph_for",
     "loop_nest_for",
-    "predicted_conflict_weight",
     "trace_certified_sets",
 ]

@@ -65,7 +65,6 @@ __all__ = [
     "certify_conflict_free",
     "graph_for",
     "loop_nest_for",
-    "predicted_conflict_weight",
 ]
 
 #: Static frequency base: a block at loop depth ``d`` is assumed to run
@@ -447,16 +446,6 @@ def build_interference_graph(
         loop_count=len(nest.components),
         pair_enumeration_truncated=truncated,
     )
-
-
-def predicted_conflict_weight(
-    program: ProgramView,
-    layout: LayoutView,
-    geometry: GeometrySpec,
-    wpa_size: int = 0,
-) -> int:
-    """Total predicted weighted conflicts of one layout (lower is better)."""
-    return build_interference_graph(program, layout, geometry, wpa_size).total_weight
 
 
 def loop_nest_for(program: ProgramView) -> Optional[LoopNest]:

@@ -32,9 +32,9 @@ Commands
     dataflow-verifier, abstract-interpretation and interference rule,
     the symbolic WPA placement proof, a sanitized kernel replay, and per
     replay configuration (baseline on the original layout, way-placement
-    on the profile-chained and conflict-aware layouts) the static
-    counter/energy bounds and the conflict replay checked against the
-    engine (see docs/static_analysis.md).  Exit 2 when any workload fails.
+    on the profile-chained layout) the static counter/energy bounds and
+    the conflict replay checked against the engine (see
+    docs/static_analysis.md).  Exit 2 when any workload fails.
 ``bench compare``
     Gate on the checked-in bench snapshot (``BENCH_engine.json``):
     fail when a guarded engine speedup drops more than the tolerance.
@@ -62,6 +62,7 @@ from repro.layout.placement import LayoutPolicy
 from repro.layout.wpa_select import choose_wpa_size
 from repro.resilience.policy import ResilienceConfig
 from repro.sim.machine import XSCALE_BASELINE, table1_rows
+from repro.utils.bitops import is_power_of_two
 from repro.workloads.mibench import MIBENCH_BENCHMARKS, benchmark_names
 
 KB = 1024
@@ -93,16 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
             nargs="+",
             metavar="NAME",
             help="restrict to these benchmarks (default: full suite)",
-        )
-        figure.add_argument(
-            "--layout",
-            default=None,
-            choices=[policy.value for policy in LayoutPolicy],
-            help=(
-                "layout policy for the way-placement runs (default: the "
-                "scheme's pairing; e.g. conflict-aware for the trace-free "
-                "optimizer)"
-            ),
         )
         _add_replay_arguments(figure)
         _add_jobs_argument(figure)
@@ -138,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     choose = sub.add_parser("choose-wpa", help="run the OS's WPA size policy")
     choose.add_argument("--benchmark", required=True, choices=benchmark_names())
-    choose.add_argument("--page-kb", type=int, default=1)
+    choose.add_argument("--page-kb", type=_power_of_two, default=1)
     _add_budget_arguments(choose)
 
     report = sub.add_parser(
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="WPA size to lint against (default: fitted to the binary)",
     )
-    lint.add_argument("--page-kb", type=int, default=1)
+    lint.add_argument("--page-kb", type=_power_of_two, default=1)
     _add_budget_arguments(lint)
 
     verify = sub.add_parser(
@@ -243,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="WPA size to certify against (default: fitted to the binary)",
     )
-    verify.add_argument("--page-kb", type=int, default=1)
+    verify.add_argument("--page-kb", type=_power_of_two, default=1)
     _add_replay_arguments(verify)
 
     bench = sub.add_parser("bench", help="benchmark snapshot utilities")
@@ -290,6 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _power_of_two(value: str) -> int:
+    """argparse type for ``--page-kb``: page sizes are powers of two."""
+    parsed = int(value)
+    if not is_power_of_two(parsed):
+        raise argparse.ArgumentTypeError(f"{parsed} is not a positive power of two")
+    return parsed
 
 
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
@@ -434,16 +433,8 @@ def _validate_benchmarks(names: Optional[List[str]]) -> None:
 def _cmd_figure(args: argparse.Namespace) -> int:
     _validate_benchmarks(args.benchmarks)
     runner = _make_runner(args)
-    layout_policy = LayoutPolicy(args.layout) if args.layout else None
     figure = _FIGURES[args.command.removeprefix("figure")]
-    print(
-        figure(
-            runner,
-            benchmarks=args.benchmarks,
-            jobs=args.jobs,
-            layout_policy=layout_policy,
-        ).render()
-    )
+    print(figure(runner, benchmarks=args.benchmarks, jobs=args.jobs).render())
     return 0
 
 

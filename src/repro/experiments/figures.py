@@ -21,7 +21,6 @@ from repro.engine.grid import GridCell
 from repro.errors import ExperimentError
 from repro.experiments.formatting import format_pct, format_ratio, render_table
 from repro.experiments.runner import ExperimentRunner
-from repro.layout.placement import LayoutPolicy
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
 from repro.sim.report import NormalisedResult
 from repro.utils.stats import arithmetic_mean
@@ -68,14 +67,13 @@ def suite_cells(
     benchmarks: Sequence[str],
     machine: MachineConfig,
     wpa_sizes: Sequence[int],
-    layout_policy: Optional[LayoutPolicy] = None,
 ) -> List[GridCell]:
     """Each benchmark's baseline, way-memoization and way-placement cells.
 
-    One way-placement cell per WPA size, on ``layout_policy``'s layout (the
-    scheme's pairing by default).  These are the rows every Section 6
-    experiment normalises and averages, so an empty suite has nothing to
-    average and raises :class:`~repro.errors.ExperimentError`.
+    One way-placement cell per WPA size, each on the scheme's own layout.
+    These are the rows every Section 6 experiment normalises and averages,
+    so an empty suite has nothing to average and raises
+    :class:`~repro.errors.ExperimentError`.
     """
     if not benchmarks:
         raise ExperimentError("an experiment needs at least one benchmark")
@@ -84,10 +82,7 @@ def suite_cells(
         cells.append(GridCell(bench, "baseline", machine))
         cells.append(GridCell(bench, "way-memoization", machine))
         cells.extend(
-            GridCell(
-                bench, "way-placement", machine, wpa_size=wpa, layout_policy=layout_policy
-            )
-            for wpa in wpa_sizes
+            GridCell(bench, "way-placement", machine, wpa_size=wpa) for wpa in wpa_sizes
         )
     return cells
 
@@ -195,7 +190,6 @@ def _figure4_plan(
     benchmarks: Tuple[str, ...],
     machine: MachineConfig,
     wpa_size: int,
-    layout_policy: Optional[LayoutPolicy],
 ) -> _Plan:
     def aggregate(runner: ExperimentRunner) -> Figure4Result:
         return Figure4Result(
@@ -208,17 +202,13 @@ def _figure4_plan(
             },
             placement={
                 bench: runner.normalised(
-                    bench,
-                    "way-placement",
-                    machine,
-                    wpa_size=wpa_size,
-                    layout_policy=layout_policy,
+                    bench, "way-placement", machine, wpa_size=wpa_size
                 )
                 for bench in benchmarks
             },
         )
 
-    return _Plan(suite_cells(benchmarks, machine, (wpa_size,), layout_policy), aggregate)
+    return _Plan(suite_cells(benchmarks, machine, (wpa_size,)), aggregate)
 
 
 def figure4(
@@ -227,16 +217,13 @@ def figure4(
     machine: MachineConfig = XSCALE_BASELINE,
     wpa_size: int = FIGURE4_WPA_SIZE,
     jobs: int = 1,
-    layout_policy: Optional[LayoutPolicy] = None,
 ) -> Figure4Result:
     """Reproduce Figure 4: the paper's initial evaluation.
 
     ``jobs`` worker processes run the (benchmark, scheme) grid (one runs it
-    in-process).  ``layout_policy`` swaps the way-placement runs' code
-    layout (e.g. ``LayoutPolicy.CONFLICT_AWARE`` for the trace-free
-    optimizer).
+    in-process).
     """
-    plan = _figure4_plan(_suite(benchmarks), machine, wpa_size, layout_policy)
+    plan = _figure4_plan(_suite(benchmarks), machine, wpa_size)
     return _run(runner, jobs, plan)[0]
 
 
@@ -287,7 +274,6 @@ def _suite_means(
     benchmarks: Tuple[str, ...],
     machine: MachineConfig,
     wpa_sizes: Tuple[int, ...],
-    layout_policy: Optional[LayoutPolicy],
 ) -> Figure6Cell:
     """Suite-mean normalised energy and ED of way-memoization and of
     way-placement at each WPA size, on one machine."""
@@ -296,13 +282,7 @@ def _suite_means(
     placement_ed: Dict[int, float] = {}
     for wpa in wpa_sizes:
         results = [
-            runner.normalised(
-                bench,
-                "way-placement",
-                machine,
-                wpa_size=wpa,
-                layout_policy=layout_policy,
-            )
+            runner.normalised(bench, "way-placement", machine, wpa_size=wpa)
             for bench in benchmarks
         ]
         placement_energy[wpa] = arithmetic_mean(r.icache_energy for r in results)
@@ -319,13 +299,12 @@ def _figure5_plan(
     benchmarks: Tuple[str, ...],
     wpa_sizes: Tuple[int, ...],
     machine: MachineConfig,
-    layout_policy: Optional[LayoutPolicy],
 ) -> _Plan:
     if not wpa_sizes:
         raise ExperimentError("figure 5 needs at least one WPA size")
 
     def aggregate(runner: ExperimentRunner) -> Figure5Result:
-        means = _suite_means(runner, benchmarks, machine, wpa_sizes, layout_policy)
+        means = _suite_means(runner, benchmarks, machine, wpa_sizes)
         return Figure5Result(
             machine=machine,
             wpa_sizes=wpa_sizes,
@@ -336,7 +315,7 @@ def _figure5_plan(
             memoization_ed=means.memoization_ed,
         )
 
-    return _Plan(suite_cells(benchmarks, machine, wpa_sizes, layout_policy), aggregate)
+    return _Plan(suite_cells(benchmarks, machine, wpa_sizes), aggregate)
 
 
 def figure5(
@@ -345,10 +324,9 @@ def figure5(
     benchmarks: Optional[Sequence[str]] = None,
     machine: MachineConfig = XSCALE_BASELINE,
     jobs: int = 1,
-    layout_policy: Optional[LayoutPolicy] = None,
 ) -> Figure5Result:
     """Reproduce Figure 5: the effect of shrinking the way-placement area."""
-    plan = _figure5_plan(_suite(benchmarks), tuple(wpa_sizes), machine, layout_policy)
+    plan = _figure5_plan(_suite(benchmarks), tuple(wpa_sizes), machine)
     return _run(runner, jobs, plan)[0]
 
 
@@ -434,7 +412,6 @@ def _figure6_plan(
     cache_sizes: Tuple[int, ...],
     ways_list: Tuple[int, ...],
     wpa_sizes: Tuple[int, ...],
-    layout_policy: Optional[LayoutPolicy],
 ) -> _Plan:
     machines = {
         (size, ways): XSCALE_BASELINE.with_icache(size, ways)
@@ -449,7 +426,7 @@ def _figure6_plan(
             wpa_sizes=wpa_sizes,
             benchmarks=benchmarks,
             cells={
-                key: _suite_means(runner, benchmarks, machine, wpa_sizes, layout_policy)
+                key: _suite_means(runner, benchmarks, machine, wpa_sizes)
                 for key, machine in machines.items()
             },
         )
@@ -457,7 +434,7 @@ def _figure6_plan(
     cells = [
         cell
         for machine in machines.values()
-        for cell in suite_cells(benchmarks, machine, wpa_sizes, layout_policy)
+        for cell in suite_cells(benchmarks, machine, wpa_sizes)
     ]
     return _Plan(cells, aggregate)
 
@@ -469,15 +446,10 @@ def figure6(
     wpa_sizes: Sequence[int] = FIGURE6_WPA_SIZES,
     benchmarks: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    layout_policy: Optional[LayoutPolicy] = None,
 ) -> Figure6Result:
     """Reproduce Figure 6: varying cache size and associativity."""
     plan = _figure6_plan(
-        _suite(benchmarks),
-        tuple(cache_sizes),
-        tuple(ways_list),
-        tuple(wpa_sizes),
-        layout_policy,
+        _suite(benchmarks), tuple(cache_sizes), tuple(ways_list), tuple(wpa_sizes)
     )
     return _run(runner, jobs, plan)[0]
 
@@ -497,10 +469,8 @@ def paper_figures(
     fig4, fig5, fig6 = _run(
         runner,
         jobs,
-        _figure4_plan(suite, XSCALE_BASELINE, FIGURE4_WPA_SIZE, None),
-        _figure5_plan(suite, FIGURE5_WPA_SIZES, XSCALE_BASELINE, None),
-        _figure6_plan(
-            suite, FIGURE6_CACHE_SIZES, FIGURE6_WAYS, FIGURE6_WPA_SIZES, None
-        ),
+        _figure4_plan(suite, XSCALE_BASELINE, FIGURE4_WPA_SIZE),
+        _figure5_plan(suite, FIGURE5_WPA_SIZES, XSCALE_BASELINE),
+        _figure6_plan(suite, FIGURE6_CACHE_SIZES, FIGURE6_WAYS, FIGURE6_WPA_SIZES),
     )
     return fig4, fig5, fig6

@@ -71,17 +71,29 @@ _DEFAULT_EVAL_INSTRUCTIONS = 400_000
 _DEFAULT_PROFILE_INSTRUCTIONS = 100_000
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
+def _budget(name: str, value: Optional[int], default: int) -> int:
+    """The ``name`` instruction budget: ``value`` when given, else the
+    ``REPRO_<NAME>`` environment variable, else ``default``.
+
+    Either source must be positive, so a bad budget fails here, once,
+    rather than in the CFG walk of every grid cell on both engines.
+    """
+    source = name
     if value is None:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ExperimentError(f"environment variable {name}={value!r} is not an int")
-    if parsed <= 0:
-        raise ExperimentError(f"environment variable {name} must be positive")
-    return parsed
+        env = f"REPRO_{name.upper()}"
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ExperimentError(
+                f"environment variable {env}={raw!r} is not an int"
+            ) from None
+        source = f"environment variable {env}"
+    if value <= 0:
+        raise ExperimentError(f"{source} must be positive, got {value}")
+    return value
 
 
 class ExperimentRunner:
@@ -100,15 +112,11 @@ class ExperimentRunner:
         sanitize: bool = False,
         resilience: Optional[ResilienceConfig] = None,
     ):
-        self.eval_instructions = (
-            eval_instructions
-            if eval_instructions is not None
-            else _env_int("REPRO_EVAL_INSTRUCTIONS", _DEFAULT_EVAL_INSTRUCTIONS)
+        self.eval_instructions = _budget(
+            "eval_instructions", eval_instructions, _DEFAULT_EVAL_INSTRUCTIONS
         )
-        self.profile_instructions = (
-            profile_instructions
-            if profile_instructions is not None
-            else _env_int("REPRO_PROFILE_INSTRUCTIONS", _DEFAULT_PROFILE_INSTRUCTIONS)
+        self.profile_instructions = _budget(
+            "profile_instructions", profile_instructions, _DEFAULT_PROFILE_INSTRUCTIONS
         )
         self.energy_params = (
             energy_params if energy_params is not None else EnergyParams()

@@ -26,7 +26,6 @@ from repro.energy.processor import ProcessorReport
 from repro.errors import ExperimentError
 from repro.experiments.figures import suite_cells
 from repro.experiments.runner import ExperimentRunner
-from repro.layout.placement import LayoutPolicy
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
 from repro.sim.report import SimulationReport
 from repro.utils.stats import arithmetic_mean
@@ -108,20 +107,14 @@ def sensitivity_grid(
     machine: MachineConfig = XSCALE_BASELINE,
     wpa_size: int = 32 * 1024,
     jobs: int = 1,
-    layout_policy: Optional[LayoutPolicy] = None,
 ) -> SensitivityResult:
-    """Suite-mean energies for every (cam, data) scale combination.
-
-    ``layout_policy`` swaps the way-placement runs' code layout, so the
-    calibration-robustness question can also be asked of the
-    conflict-aware optimizer's layouts.
-    """
+    """Suite-mean energies for every (cam, data) scale combination."""
     benchmarks = list(benchmarks if benchmarks is not None else benchmark_names())
     base_params = runner.energy_params
     organisation = runner.organisation
 
     # Simulate once per (benchmark, scheme); reprice per grid point.
-    cells = suite_cells(benchmarks, machine, (wpa_size,), layout_policy)
+    cells = suite_cells(benchmarks, machine, (wpa_size,))
     reports: Dict[Tuple[str, str], SimulationReport] = {
         (cell.benchmark, cell.scheme): report
         for cell, report in zip(cells, runner.run_grid(cells, jobs=jobs))

@@ -8,16 +8,12 @@ The paper's contribution (its Section 3) lives here:
   weight, heaviest first, so the hottest code lands at the start of the
   binary — the region the hardware maps to explicit cache ways;
 * :mod:`repro.layout.linker` turns any block order into a concrete
-  :class:`~repro.layout.layouts.Layout` (block uid -> byte address);
-* :mod:`repro.layout.conflict_aware` orders chains by greedy coloring of
-  the static interference graph (:mod:`repro.analysis.interference`) —
-  the profile-free competitor used for the layout-agnosticism check.
+  :class:`~repro.layout.layouts.Layout` (block uid -> byte address).
 """
 
 from repro.layout.layouts import Layout
 from repro.layout.linker import link_blocks
 from repro.layout.chains import Chain, build_chains
-from repro.layout.conflict_aware import conflict_aware_layout
 from repro.layout.pettis_hansen import pettis_hansen_layout
 from repro.layout.wpa_select import WpaChoice, choose_wpa_size, estimate_wpa_energy
 from repro.layout.placement import (
@@ -40,7 +36,6 @@ __all__ = [
     "original_layout",
     "random_layout",
     "coldest_first_layout",
-    "conflict_aware_layout",
     "pettis_hansen_layout",
     "WpaChoice",
     "choose_wpa_size",

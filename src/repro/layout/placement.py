@@ -21,7 +21,6 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.errors import LayoutError
 from repro.layout.chains import Chain, build_chains
-from repro.layout.conflict_aware import conflict_aware_layout
 from repro.layout.layouts import Layout
 from repro.layout.linker import link_blocks
 from repro.layout.pettis_hansen import pettis_hansen_layout
@@ -46,7 +45,6 @@ class LayoutPolicy(enum.Enum):
     RANDOM_CHAINS = "random-chains"  # chains shuffled (locality strawman)
     COLDEST_FIRST = "coldest-first"  # lightest chain first (adversarial)
     PETTIS_HANSEN = "pettis-hansen"  # function-affinity ordering (PH'90)
-    CONFLICT_AWARE = "conflict-aware"  # static interference-graph coloring
 
 
 def _instruction_counts(
@@ -128,15 +126,12 @@ def make_layout(
 
     Profile-driven policies require ``block_counts`` (way-placement,
     coldest-first) or a full ``profile`` with edge counts (Pettis-Hansen);
-    the original, random-chains, and conflict-aware policies are
-    profile-free (the last one reads the static interference analysis).
+    the original and random-chains policies are profile-free.
     """
     if policy is LayoutPolicy.ORIGINAL:
         return original_layout(program, base_address)
     if policy is LayoutPolicy.RANDOM_CHAINS:
         return random_layout(program, seed, base_address)
-    if policy is LayoutPolicy.CONFLICT_AWARE:
-        return conflict_aware_layout(program, base_address=base_address)
     if policy is LayoutPolicy.PETTIS_HANSEN:
         if profile is None:
             raise LayoutError(

@@ -45,6 +45,14 @@ class LineEventTrace:
             raise TraceError("line-event arrays must have equal length")
         if n and int(self.counts.min()) < 1:
             raise TraceError("every line event must cover at least one fetch")
+        # The kernels key cache residency by line address, so an unaligned
+        # address would replay as a line of its own.
+        if self.line_size <= 0:
+            raise TraceError(f"line size must be positive, got {self.line_size}")
+        if np.any(self.line_addrs % self.line_size):
+            raise TraceError(
+                f"line addresses must be aligned to the {self.line_size}-byte line size"
+            )
 
     @property
     def num_events(self) -> int:

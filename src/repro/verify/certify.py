@@ -13,13 +13,12 @@ A *certificate* for one workload bundles four verification layers:
    and
 4. one :class:`ConfigCertificate` per replay configuration in
    :data:`CONFIGS` — the baseline on the original layout, and
-   way-placement on the profile-chained and on the conflict-aware
-   layout, each at that layout's fitted WPA.  An entry checks the
-   engine's measured counters and energy against the static bounds the
-   must/may fixpoint derives (:mod:`repro.analysis.absint`), and its
-   measured misses against a per-set conflict replay whose certified
-   conflict-free sets must replay clean
-   (:mod:`repro.analysis.interference`).
+   way-placement on the profile-chained layout at that layout's fitted
+   WPA.  An entry checks the engine's measured counters and energy
+   against the static bounds the must/may fixpoint derives
+   (:mod:`repro.analysis.absint`), and its measured misses against a
+   per-set conflict replay whose certified conflict-free sets must
+   replay clean (:mod:`repro.analysis.interference`).
 
 A workload is **certified** when no error-severity diagnostic fired, the
 proof holds, the sanitizer saw zero violations, and every configuration
@@ -69,7 +68,6 @@ __all__ = [
 CONFIGS: Tuple[Tuple[str, LayoutPolicy], ...] = (
     ("baseline", LayoutPolicy.ORIGINAL),
     ("way-placement", LayoutPolicy.WAY_PLACEMENT),
-    ("way-placement", LayoutPolicy.CONFLICT_AWARE),
 )
 
 

@@ -38,6 +38,28 @@ class TestParser:
                     build_parser().parse_args(command + flag)
                 assert exit_info.value.code == 2, (command, flag)
 
+    @pytest.mark.parametrize("value", ["0", "3"])
+    @pytest.mark.parametrize(
+        "command",
+        [["choose-wpa", "--benchmark", "crc"], ["lint", "crc"], ["verify", "crc"]],
+        ids=["choose-wpa", "lint", "verify"],
+    )
+    def test_page_kb_must_be_a_power_of_two(self, command, value, capsys):
+        """A bad page size is a usage error, not a traceback from the
+        address arithmetic."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--page-kb", value])
+        assert exit_info.value.code == 2
+        assert "--page-kb" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figure", ["figure4", "figure5", "figure6"])
+    def test_figures_take_no_layout_flag(self, figure, capsys):
+        """Every figure replays the paper's layout pairing."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([figure, "--layout", "way-placement"])
+        assert exit_info.value.code == 2
+        assert "--layout" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_benchmarks(self, capsys):
@@ -110,6 +132,13 @@ class TestCommands:
         code = main(["figure4", "--benchmarks", "nope", *FAST])
         assert code == 1
         assert "unknown benchmarks" in capsys.readouterr().err
+
+    def test_figure_zero_budget_fails_before_the_grid(self, capsys):
+        code = main(["figure4", "--benchmarks", "crc", "--eval-instructions", "0"])
+        assert code == 1
+        # one error line, and no [cell] incidents from a grid that ran
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: eval_instructions must be positive, got 0"]
 
     def test_figure5_subset(self, capsys):
         code = main(["figure5", "--benchmarks", "crc", *FAST])

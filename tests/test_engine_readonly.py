@@ -56,7 +56,7 @@ def events() -> LineEventTrace:
     rng = random.Random(7)
     specs = []
     for _ in range(600):
-        line = rng.randrange(120)
+        line = rng.randrange(120) * 16
         count = rng.randrange(1, 5)
         slot = rng.randrange(TINY_GEOMETRY.ways) if rng.random() < 0.3 else (
             SEQUENTIAL_SLOT

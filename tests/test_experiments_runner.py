@@ -79,6 +79,12 @@ class TestNormalised:
         with pytest.raises(ExperimentError):
             ExperimentRunner()
 
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("budget", ["eval_instructions", "profile_instructions"])
+    def test_explicit_budget_validation(self, budget, value):
+        with pytest.raises(ExperimentError, match=f"{budget} must be positive"):
+            ExperimentRunner(**{budget: value})
+
     def test_environment_override_used(self, monkeypatch):
         monkeypatch.setenv("REPRO_EVAL_INSTRUCTIONS", "12345")
         assert ExperimentRunner().eval_instructions == 12345

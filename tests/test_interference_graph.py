@@ -24,7 +24,6 @@ from repro.analysis.interference.graph import (
     build_interference_graph,
     certify_conflict_free,
     loop_nest_for,
-    predicted_conflict_weight,
     _min_pair_sum,
 )
 from repro.isa.instructions import INSTRUCTION_SIZE
@@ -149,7 +148,6 @@ def test_toy_graph_exact_weights():
     assert not graph.pair_enumeration_truncated
     # Every line weight is a power-of-BASE sum over the blocks covering it.
     assert all(weight > 0 for weight in graph.line_weight.values())
-    assert predicted_conflict_weight(view, layout, SPEC, 0) == 360
 
 
 def test_toy_graph_wpa_pinning_removes_all_pairs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import TraceError
 from repro.layout import original_layout
 from repro.program import ProgramBuilder
 from repro.trace.branch_model import BranchModelMap, LoopBranch
@@ -125,6 +126,25 @@ class TestLineEventTraceValidation:
                 line_size=32,
                 line_addrs=np.array([0], dtype=np.int64),
                 counts=np.array([0], dtype=np.int32),
+                slots=np.array([0], dtype=np.int16),
+            )
+
+    def test_unaligned_line_addresses_rejected(self):
+        # 4 and 20 are not line starts at 16-byte lines.  The kernels key
+        # residency by line address and the reference schemes by tag and
+        # set, so the two tiers would replay this stream differently.
+        with pytest.raises(TraceError, match="aligned"):
+            LineEventTrace(
+                line_size=16,
+                line_addrs=np.array([0, 4, 0, 20, 16], dtype=np.int64),
+                counts=np.ones(5, dtype=np.int32),
+                slots=np.full(5, SEQUENTIAL_SLOT, dtype=np.int16),
+            )
+        with pytest.raises(TraceError, match="positive"):
+            LineEventTrace(
+                line_size=0,
+                line_addrs=np.array([0], dtype=np.int64),
+                counts=np.array([1], dtype=np.int32),
                 slots=np.array([0], dtype=np.int16),
             )
 

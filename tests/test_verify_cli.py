@@ -85,7 +85,7 @@ def test_verify_select_restricts_rules(capsys):
 def test_verify_text_counts_configs(capsys):
     assert main(["verify", "crc", *FAST]) == 0
     out = capsys.readouterr().out
-    assert "configs=3/3" in out
+    assert "configs=2/2" in out
     assert "1/1 workload(s) certified" in out
 
 
@@ -104,7 +104,6 @@ def test_verify_json_configs_bracket_the_engine(capsys):
         assert order == [
             ("baseline", "original"),
             ("way-placement", "way-placement"),
-            ("way-placement", "conflict-aware"),
         ]
         for config in certificate["configs"]:
             assert config["ok"] is True
@@ -146,7 +145,7 @@ def test_verify_tampered_bounds_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(certify, "_certify_config", tampered)
     assert main(["verify", "crc", *FAST]) == 2
     out = capsys.readouterr().out
-    assert "FAILED" in out and "configs=2/3" in out
+    assert "FAILED" in out and "configs=1/2" in out
     assert (
         "baseline/original: misses = 1000000000 outside static bounds [0, 1]"
         in out
@@ -163,8 +162,8 @@ def test_verify_tampered_replay_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(certify, "conflict_replay", tampered)
     assert main(["verify", "crc", *FAST]) == 2
     out = capsys.readouterr().out
-    assert "FAILED" in out and "configs=0/3" in out
-    assert "way-placement/conflict-aware: replay misses" in out
+    assert "FAILED" in out and "configs=0/2" in out
+    assert "way-placement/way-placement: replay misses" in out
 
     assert main(["verify", "crc", "--format", "json", *FAST]) == 2
     (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
@@ -185,8 +184,6 @@ def test_certificate_runs_each_analysis_once(monkeypatch):
     from repro.experiments.runner import ExperimentRunner
 
     runner = ExperimentRunner(eval_instructions=20_000, profile_instructions=8_000)
-    for _, policy in certify.CONFIGS:
-        runner.layout("crc", policy)  # the conflict-aware pass scores graphs itself
     calls = {"fixpoint": 0, "graph": 0}
 
     def counted(key, real):
@@ -207,4 +204,4 @@ def test_certificate_runs_each_analysis_once(monkeypatch):
     assert certify.certify_workload(runner, "crc").ok
     # One of each per configuration: the profile-chained entry reuses what
     # the A and I rules computed on the certificate's own context.
-    assert calls == {"fixpoint": 3, "graph": 3}
+    assert calls == {"fixpoint": 2, "graph": 2}

@@ -97,6 +97,20 @@ def test_kernels_agree_with_the_reference_schemes(agreement_runner, workload):
         assert kernel == reference, f"{scheme} {options} diverges on {workload}"
 
 
+def _assert_cell_agrees(runner, workload, machine, scheme, policy, wpa):
+    """One grid cell replays field-for-field alike on its kernel and on
+    the reference scheme; returns the kernel's counters."""
+    events = runner.events(workload, policy, machine.icache.line_size)
+    options = scheme_options(machine, scheme, wpa_size=wpa)
+    kernel = fast_counters(scheme, events, machine.icache, **options)
+    reference = make_scheme(scheme, machine.icache, **options).run(events)
+    assert kernel is not None
+    assert asdict(kernel) == asdict(reference), (
+        f"{scheme} {options} diverges on {workload} at {machine.icache.describe()}"
+    )
+    return kernel
+
+
 # At this budget these two evict, with both mandated-way and round-robin
 # fills, in every way-placement cell of Figure 6; smaller footprints such as
 # crc's and sha's never evict at any of its geometries.
@@ -112,17 +126,28 @@ def test_kernels_agree_on_the_figure6_geometries(agreement_runner, workload):
         for ways in FIGURE6_WAYS:
             machine = XSCALE_BASELINE.with_icache(size, ways)
             for scheme, policy, wpa in cells:
-                events = agreement_runner.events(
-                    workload, policy, machine.icache.line_size
-                )
-                options = scheme_options(machine, scheme, wpa_size=wpa)
-                kernel = fast_counters(scheme, events, machine.icache, **options)
-                reference = make_scheme(scheme, machine.icache, **options).run(events)
-                assert kernel is not None
-                assert asdict(kernel) == asdict(reference), (
-                    f"{scheme} {options} diverges on {workload} at "
-                    f"{size // 1024}KB/{ways}-way"
-                )
+                _assert_cell_agrees(agreement_runner, workload, machine, scheme, policy, wpa)
+
+
+#: The starved 2KB/2-way geometry of ``tests/test_interference_validation.py``.
+STARVED = XSCALE_BASELINE.with_icache(2 * 1024, 2)
+
+
+# No baseline cell evicts at Figure 6's geometries at this budget, so the
+# baseline kernel's eviction path needs a smaller cache.  These two evict
+# there under the baseline; crc evicts only a few times and sha never.
+@pytest.mark.parametrize("workload", ["cjpeg", "tiffdither"])
+def test_kernels_agree_on_a_starved_geometry(agreement_runner, workload):
+    """Baseline on the original layout and way-placement at a 1KB WPA on
+    the profile-chained layout replay like the reference schemes on a
+    cache where the baseline evicts."""
+    baseline = _assert_cell_agrees(
+        agreement_runner, workload, STARVED, "baseline", LayoutPolicy.ORIGINAL, 0
+    )
+    assert baseline.evictions > 0
+    _assert_cell_agrees(
+        agreement_runner, workload, STARVED, "way-placement", LayoutPolicy.WAY_PLACEMENT, 1024
+    )
 
 
 @pytest.mark.parametrize("workload", benchmark_names())
