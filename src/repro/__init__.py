@@ -39,8 +39,6 @@ from repro.analysis import (
     Diagnostic,
     Severity,
     analyze_program,
-    render_json,
-    render_text,
 )
 from repro.binary import BinaryImage, emit_image, load_image
 from repro.cache import CacheGeometry, CamCache, InstructionTlb, WayHintBit, FetchCounters
@@ -103,8 +101,6 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "analyze_program",
-    "render_json",
-    "render_text",
     # binary
     "BinaryImage",
     "emit_image",

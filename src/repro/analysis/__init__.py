@@ -1,4 +1,4 @@
-"""repro.analysis — rule-based static diagnostics (``repro lint``).
+"""repro.analysis — rule-based static diagnostics (run by ``repro verify``).
 
 The paper's DIABLO pass rewrites binaries under a stack of invariants
 (chain ordering by execution weight, page-multiple WPA sizes, one
@@ -9,16 +9,16 @@ is simulated:
 * :mod:`~repro.analysis.diagnostics` — the :class:`Diagnostic` value type
   (rule id, severity, location, message, suggested fix);
 * :mod:`~repro.analysis.registry` — rule registration with
-  ``--select``/``--ignore`` resolution and severity overrides;
+  ``--select``/``--ignore`` resolution;
 * :mod:`~repro.analysis.rules` — the concrete rule catalog: ``P``
   (program structure), ``L`` (layout/WPA), ``C`` (config), ``A``
   (abstract-interpretation cache behaviour, backed by
   :mod:`repro.analysis.absint`);
-* :mod:`~repro.analysis.engine` — the :class:`Analyzer` driver;
-* :mod:`~repro.analysis.reporters` — deterministic text and JSON output.
+* :mod:`~repro.analysis.engine` — the :class:`Analyzer`, which runs a
+  rule selection over a context.
 
-Entry points: the ``repro lint`` CLI subcommand,
-``ExperimentRunner(strict=True)`` pre-flights, and
+Entry points: ``repro verify`` (each certificate carries its workload's
+diagnostics), ``ExperimentRunner(strict=True)`` pre-flights, and
 :func:`repro.program.validate.validate_program` (now a wrapper over the
 ``P`` rules).  See ``docs/analysis.md`` for the rule catalog.
 """
@@ -30,9 +30,8 @@ from repro.analysis.context import (
     ProgramView,
 )
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.engine import Analyzer, analyze_program, max_severity
+from repro.analysis.engine import Analyzer, analyze_program
 from repro.analysis.registry import DEFAULT_REGISTRY, Finding, Rule, RuleRegistry
-from repro.analysis.reporters import render_json, render_text, summarize
 
 __all__ = [
     "AnalysisContext",
@@ -48,8 +47,4 @@ __all__ = [
     "RuleRegistry",
     "Severity",
     "analyze_program",
-    "max_severity",
-    "render_json",
-    "render_text",
-    "summarize",
 ]

@@ -6,12 +6,12 @@ raise on the first structural problem, which is exactly what a diagnostics
 pass must *not* do — it wants to see the broken artifact and report every
 problem at once.  The view classes here hold the same information without
 any validation, and can be built either from the strict objects (the common
-case) or from raw pieces (unit tests, config files, half-built programs).
+case) or from raw pieces (unit tests, half-built programs).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
     Dict,
@@ -216,17 +216,9 @@ class GeometrySpec:
         return tag & ((1 << self.way_bits) - 1)
 
 
-def _energy_mapping(energy: Optional[Any]) -> Optional[Dict[str, float]]:
-    """Normalise EnergyParams or a raw mapping to a plain name -> value dict."""
-    if energy is None:
-        return None
-    if isinstance(energy, EnergyParams):
-        return asdict(energy)
-    merged: Dict[str, float] = {
-        f.name: f.default for f in fields(EnergyParams)  # type: ignore[misc]
-    }
-    merged.update({str(key): float(value) for key, value in dict(energy).items()})
-    return merged
+def _energy_mapping(energy: Optional[EnergyParams]) -> Optional[Dict[str, float]]:
+    """EnergyParams as a plain name -> value dict (``None`` stays ``None``)."""
+    return None if energy is None else asdict(energy)
 
 
 @dataclass
@@ -234,8 +226,8 @@ class AnalysisContext:
     """Everything the rules may inspect; any field may be absent.
 
     Rules self-gate: a rule whose inputs are missing simply reports
-    nothing, so one context type serves program-only validation, full
-    benchmark pre-flights, and config-file lints alike.
+    nothing, so one context type serves program-only validation, strict
+    pre-flights and certificates alike.
     """
 
     subject: str = "config"
@@ -263,7 +255,7 @@ class AnalysisContext:
         geometry: Optional[CacheGeometry] = None,
         wpa_size: Optional[int] = None,
         page_size: Optional[int] = None,
-        energy: Optional[Any] = None,
+        energy: Optional[EnergyParams] = None,
         subject: Optional[str] = None,
     ) -> "AnalysisContext":
         """Build a context from the strict pipeline objects."""

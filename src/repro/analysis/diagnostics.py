@@ -2,8 +2,8 @@
 
 A :class:`Diagnostic` is one concrete problem found by one rule at one
 location.  Diagnostics are plain immutable values with a total ordering
-(rule id, then location, then message) so reporter output — and therefore
-CI diffs over ``repro lint --format json`` — is deterministic regardless
+(rule id, then location, then message) so rendered output — and therefore
+CI diffs over ``repro verify --format json`` — is deterministic regardless
 of rule execution order.
 """
 

@@ -1,13 +1,13 @@
 """The analyzer: run selected rules over a context, collect diagnostics.
 
-The :class:`Analyzer` is configured once (rule selection, severity
-overrides) and reused across many contexts — the CLI builds one per
-invocation, the strict experiment pre-flight keeps one per runner.
+The :class:`Analyzer` is configured once (rule selection) and reused
+across many contexts: ``repro verify`` builds one per invocation, and
+the strict experiment pre-flight one per check.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional
+from typing import Iterable, List, Optional
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -19,7 +19,7 @@ from repro.program.program import Program
 from repro.analysis.rules import config_rules, layout_rules, program_rules  # noqa: F401  isort: skip
 from repro.verify import rules as verify_rules  # noqa: F401  isort: skip
 
-__all__ = ["Analyzer", "analyze_program", "max_severity"]
+__all__ = ["Analyzer", "analyze_program"]
 
 
 class Analyzer:
@@ -30,13 +30,9 @@ class Analyzer:
         registry: Optional[RuleRegistry] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        severity_overrides: Optional[Mapping[str, Severity]] = None,
     ):
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self._rules = self.registry.selection(select, ignore)
-        self._overrides = dict(severity_overrides or {})
-        for rule_id in self._overrides:
-            self.registry.get(rule_id)  # unknown ids fail loudly
 
     @property
     def rule_ids(self) -> List[str]:
@@ -46,13 +42,12 @@ class Analyzer:
         """All diagnostics for ``context``, sorted by (rule, location)."""
         diagnostics: List[Diagnostic] = []
         for rule in self._rules:
-            severity = self._overrides.get(rule.rule_id, rule.severity)
             for finding in rule.check(context):
                 diagnostics.append(
                     Diagnostic(
                         rule_id=rule.rule_id,
                         rule_name=rule.name,
-                        severity=severity,
+                        severity=rule.severity,
                         location=finding.location,
                         message=finding.message,
                         suggestion=finding.suggestion,
@@ -60,14 +55,6 @@ class Analyzer:
                 )
         diagnostics.sort(key=Diagnostic.sort_key)
         return diagnostics
-
-    def run_all(self, contexts: Iterable[AnalysisContext]) -> List[Diagnostic]:
-        """Diagnostics for many contexts merged into one sorted list."""
-        merged: List[Diagnostic] = []
-        for context in contexts:
-            merged.extend(self.run(context))
-        merged.sort(key=Diagnostic.sort_key)
-        return merged
 
     def check_errors(self, context: AnalysisContext, what: str) -> List[Diagnostic]:
         """Run and raise :class:`AnalysisError` on error-severity findings.
@@ -85,15 +72,6 @@ class Analyzer:
                 diagnostics=diagnostics,
             )
         return diagnostics
-
-
-def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[Severity]:
-    """The worst severity present, or ``None`` for a clean run."""
-    worst: Optional[Severity] = None
-    for diagnostic in diagnostics:
-        if worst is None or diagnostic.severity > worst:
-            worst = diagnostic.severity
-    return worst
 
 
 def analyze_program(

@@ -90,10 +90,6 @@ class RuleRegistry:
     def ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._rules))
 
-    def catalog(self) -> List[Rule]:
-        """All rules in id order (for docs and ``repro lint --explain``)."""
-        return list(self)
-
     # -- selection ----------------------------------------------------------
     def _matches(self, selector: str) -> List[str]:
         selector = selector.strip().upper()

@@ -23,14 +23,10 @@ Commands
 ``cache``
     Inspect (``stats``) or empty (``clear``) the persistent trace cache
     (see docs/performance.md).
-``lint``
-    Static diagnostics over programs, layouts, and experiment configs
-    (see docs/analysis.md).  Targets are benchmark names or JSON config
-    files; ``--format json`` emits a stable machine-readable report.
 ``verify``
-    Full workload certification (see docs/verification.md): every lint,
-    dataflow-verifier, abstract-interpretation and interference rule,
-    the symbolic WPA placement proof, a sanitized kernel replay, and per
+    Full workload certification (see docs/verification.md): every static
+    rule of docs/analysis.md (``--select``/``--ignore`` pick rules), the
+    symbolic WPA placement proof, a sanitized kernel replay, and per
     replay configuration (baseline on the original layout, way-placement
     on the profile-chained layout) the static counter/energy bounds and
     the conflict replay checked against the engine (see
@@ -50,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Callable, Dict, List, Optional, cast
 
@@ -157,46 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cache directory (default: $REPRO_CACHE_DIR or .repro_cache)",
     )
-
-    lint = sub.add_parser(
-        "lint", help="static diagnostics for programs, layouts, and configs"
-    )
-    lint.add_argument(
-        "targets",
-        nargs="*",
-        metavar="TARGET",
-        help=(
-            "benchmark names or JSON config files "
-            "(default: every built-in benchmark)"
-        ),
-    )
-    lint.add_argument("--format", default="text", choices=["text", "json"])
-    lint.add_argument(
-        "--select",
-        action="append",
-        metavar="RULES",
-        help="comma-separated rule ids or prefixes to run (e.g. P,L004)",
-    )
-    lint.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULES",
-        help="comma-separated rule ids or prefixes to skip (e.g. L003)",
-    )
-    lint.add_argument(
-        "--layout",
-        default=LayoutPolicy.WAY_PLACEMENT.value,
-        choices=[policy.value for policy in LayoutPolicy],
-        help="layout policy to lint benchmarks under (default: way-placement)",
-    )
-    lint.add_argument(
-        "--wpa-kb",
-        type=int,
-        default=None,
-        help="WPA size to lint against (default: fitted to the binary)",
-    )
-    lint.add_argument("--page-kb", type=_power_of_two, default=1)
-    _add_budget_arguments(lint)
 
     verify = sub.add_parser(
         "verify",
@@ -612,96 +567,6 @@ def _split_selectors(values: Optional[List[str]]) -> Optional[List[str]]:
     return selectors or None
 
 
-def _config_lint_context(path: str):
-    """Analysis context for a JSON experiment-config file.
-
-    Recognised keys: ``cache`` ({size_kb, ways, line_bytes, address_bits}),
-    ``energy`` (EnergyParams field overrides), ``wpa_kb`` and ``page_kb``,
-    all optional; missing pieces fall back to the paper's baseline, and
-    other keys are ignored.
-    """
-    from repro.analysis import AnalysisContext, GeometrySpec
-    from repro.analysis.context import _energy_mapping
-
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise ReproError(f"cannot read config file {path!r}: {error}")
-    if not isinstance(data, dict):
-        raise ReproError(f"config file {path!r} must hold a JSON object")
-
-    cache_cfg: Dict[str, Any] = dict(data.get("cache") or {})
-    baseline = XSCALE_BASELINE.icache
-    geometry = GeometrySpec(
-        size_bytes=int(cache_cfg.get("size_kb", baseline.size_bytes // KB) * KB),
-        ways=int(cache_cfg.get("ways", baseline.ways)),
-        line_size=int(cache_cfg.get("line_bytes", baseline.line_size)),
-        address_bits=int(cache_cfg.get("address_bits", baseline.address_bits)),
-    )
-    wpa_kb = data.get("wpa_kb")
-    page_kb = data.get("page_kb", XSCALE_BASELINE.page_size // KB)
-    return AnalysisContext(
-        subject=os.path.basename(path),
-        geometry=geometry,
-        energy=_energy_mapping(dict(data.get("energy") or {})),
-        wpa_size=int(wpa_kb * KB) if wpa_kb is not None else None,
-        page_size=int(page_kb * KB),
-    )
-
-
-def _benchmark_lint_context(
-    runner: ExperimentRunner,
-    benchmark: str,
-    policy: LayoutPolicy,
-    wpa_kb: Optional[int],
-    page_kb: int,
-):
-    """Analysis context for one built-in benchmark under ``policy``."""
-    page_size = page_kb * KB
-    if wpa_kb is None:
-        wpa_size = runner.fitted_wpa_size(
-            benchmark, policy, XSCALE_BASELINE, page_size
-        )
-    else:
-        wpa_size = wpa_kb * KB
-    return runner.analysis_context(
-        benchmark, policy, XSCALE_BASELINE, wpa_size, page_size
-    )
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import Analyzer, Severity, max_severity, render_json, render_text
-
-    analyzer = Analyzer(
-        select=_split_selectors(args.select), ignore=_split_selectors(args.ignore)
-    )
-    runner = _make_runner(args)
-    policy = LayoutPolicy(args.layout)
-    targets = args.targets or list(benchmark_names())
-    contexts = []
-    for target in targets:
-        if target in benchmark_names():
-            contexts.append(
-                _benchmark_lint_context(
-                    runner, target, policy, args.wpa_kb, args.page_kb
-                )
-            )
-        elif target.endswith(".json") or os.path.exists(target):
-            contexts.append(_config_lint_context(target))
-        else:
-            raise ReproError(
-                f"unknown lint target {target!r}: neither a benchmark name "
-                f"nor a config file"
-            )
-    diagnostics = analyzer.run_all(contexts)
-    if args.format == "json":
-        print(render_json(diagnostics))
-    else:
-        print(render_text(diagnostics))
-    return 2 if max_severity(diagnostics) is Severity.ERROR else 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     import time
 
@@ -861,8 +726,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_export(args)
         if args.command == "cache":
             return _cmd_cache(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "bench":

@@ -1,7 +1,8 @@
 """Experiment grid cells.
 
 A *cell* is one ``(benchmark, scheme, machine, wpa, options)`` simulation —
-exactly the argument tuple of :meth:`ExperimentRunner.report`.  Every
+the arguments of :meth:`ExperimentRunner.report` under the paper's layout
+pairing (way-placement on the profile-chained binary).  Every
 experiment hands its cells to
 :meth:`~repro.experiments.runner.ExperimentRunner.run_grid`, which runs
 them under the supervisor (:mod:`repro.resilience.supervisor`) at any
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.layout.placement import LayoutPolicy
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
 
 __all__ = ["GridCell"]
@@ -31,7 +31,6 @@ class GridCell:
     scheme: str
     machine: MachineConfig = XSCALE_BASELINE
     wpa_size: int = 0
-    layout_policy: Optional[LayoutPolicy] = None
     same_line_skip: Optional[bool] = None
     l0_size: int = 512
 
@@ -41,7 +40,6 @@ class GridCell:
             "scheme": self.scheme,
             "machine": self.machine,
             "wpa_size": self.wpa_size,
-            "layout_policy": self.layout_policy,
             "same_line_skip": self.same_line_skip,
             "l0_size": self.l0_size,
         }

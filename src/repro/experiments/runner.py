@@ -302,7 +302,7 @@ class ExperimentRunner:
             cell.scheme,
             cell.machine,
             cell.wpa_size,
-            self._resolve_layout_policy(cell.scheme, cell.layout_policy),
+            self._resolve_layout_policy(cell.scheme, None),
             cell.same_line_skip,
             cell.l0_size,
         )
@@ -372,7 +372,7 @@ class ExperimentRunner:
         return run.normalise(baseline)
 
     # ------------------------------------------------------------------
-    # Static analysis (strict pre-flight, lint, certification)
+    # Static analysis (strict pre-flight, certification)
     # ------------------------------------------------------------------
     def fitted_wpa_size(
         self,
@@ -431,12 +431,12 @@ class ExperimentRunner:
         Raises :class:`~repro.errors.AnalysisError` when any error-severity
         diagnostic is found; called automatically before every simulation
         when the runner was built with ``strict=True``.  Results are
-        memoised per (benchmark, layout, geometry, WPA) so sweeps pay the
-        analysis once.
+        memoised per (benchmark, layout, geometry, page size, WPA) so
+        sweeps pay the analysis once.
         """
         from repro.analysis import Analyzer
 
-        key = (benchmark, layout_policy, machine.icache, wpa_size)
+        key = (benchmark, layout_policy, machine.icache, machine.page_size, wpa_size)
         if key in self._preflighted:
             return
         Analyzer().check_errors(

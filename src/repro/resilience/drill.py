@@ -103,7 +103,7 @@ def run_drill(
         for cell in drill_cells():
             if cell.benchmark != "crc":
                 continue
-            policy = runner._resolve_layout_policy(cell.scheme, cell.layout_policy)
+            policy = runner._resolve_layout_policy(cell.scheme, None)
             runner.events(cell.benchmark, policy, cell.machine.icache.line_size)
         with chaos.active(config):
             got = runner.run_grid(drill_cells(), jobs=jobs)

@@ -64,12 +64,11 @@ def cell_content_key(cell: "GridCell") -> str:
     """A stable string identifying one cell's full configuration."""
     machine = cell.machine
     geometry = machine.icache
-    policy = cell.layout_policy.value if cell.layout_policy is not None else "default"
     return (
         f"{cell.benchmark}|{cell.scheme}"
         f"|icache={geometry.size_bytes}/{geometry.ways}/{geometry.line_size}"
         f"/{geometry.address_bits}"
-        f"|wpa={cell.wpa_size}|layout={policy}|sls={cell.same_line_skip}"
+        f"|wpa={cell.wpa_size}|sls={cell.same_line_skip}"
         f"|l0={cell.l0_size}|page={machine.page_size}|itlb={machine.itlb_entries}"
     )
 

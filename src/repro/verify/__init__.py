@@ -6,7 +6,7 @@ Two halves:
   (:mod:`repro.verify.dataflow`), the symbolic WPA placement proof
   (:mod:`repro.verify.wpa_proof`), and the ``V###`` diagnostic rules
   (:mod:`repro.verify.rules`) that surface them through the standard
-  :mod:`repro.analysis` registry and reporters;
+  :mod:`repro.analysis` registry;
 * the **runtime sanitizer** (:mod:`repro.verify.sanitizer`) — ``S###``
   invariant checks over live schemes and vectorized kernel output.
 

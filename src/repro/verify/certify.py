@@ -2,7 +2,7 @@
 
 A *certificate* for one workload bundles four verification layers:
 
-1. the full static rule set (``P``/``L``/``C`` lint rules, the ``V``
+1. the full static rule set (the ``P``/``L``/``C`` rules, the ``V``
    dataflow-verifier rules, and the ``A``/``I`` rules backed by the
    abstract interpretation and the interference analysis) over the
    program, profile, layout, geometry, and WPA behind one experiment,
@@ -394,7 +394,12 @@ def render_certificates_json(certificates: List[WorkloadCertificate]) -> str:
 
 
 def render_certificates_text(certificates: List[WorkloadCertificate]) -> str:
-    """Human-readable per-workload verdict lines."""
+    """Human-readable per-workload verdict lines.
+
+    Under each verdict: every diagnostic (warnings and infos too, each with
+    its indented hint), then every sanitizer violation and failed
+    configuration cross-check.
+    """
     lines: List[str] = []
     for certificate in sorted(certificates, key=lambda c: c.benchmark):
         status = "certified" if certificate.ok else "FAILED"
@@ -407,8 +412,8 @@ def render_certificates_text(certificates: List[WorkloadCertificate]) -> str:
             f"sanitizer={len(certificate.sanitizer_violations)} "
             f"configs={configs_ok}/{len(certificate.configs)}"
         )
-        for diagnostic in certificate.errors:
-            lines.append(f"    {diagnostic.render()}")
+        for diagnostic in certificate.diagnostics:
+            lines.extend(f"    {line}" for line in diagnostic.render().splitlines())
         for violation in certificate.sanitizer_violations:
             lines.append(f"    {violation.render()}")
         for config in certificate.configs:

@@ -5,13 +5,13 @@ properties, these rules prove the global invariants the paper's results
 rest on: profile flow conservation through the CFG, dominator-consistent
 execution, fall-through contiguity of the placed layout, and the
 symbolic way-placement proof.  They register into the standard
-:data:`~repro.analysis.registry.DEFAULT_REGISTRY`, so selectors,
-severity overrides, reporters, JSON output, and exit codes all apply
-unchanged — ``repro lint --select V`` runs just the verifier.
+:data:`~repro.analysis.registry.DEFAULT_REGISTRY`, so selectors, JSON
+output, and exit codes all apply unchanged — ``repro verify --select V``
+runs just the verifier's rules.
 
 Every rule self-gates on the context fields it needs (program + block
 counts + edge counts for the dataflow rules, geometry + WPA for the
-proof rules), so config-only lints skip them silently.
+proof rules), so contexts without those fields skip them silently.
 """
 
 from __future__ import annotations

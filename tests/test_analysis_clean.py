@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import render_text
+from repro.analysis import Diagnostic
 from repro.workloads import benchmark_names
 
 
 @pytest.mark.parametrize("benchmark_name", benchmark_names())
 def test_workload_is_lint_clean(benchmark_name, lint_all_workloads):
     diagnostics = lint_all_workloads[benchmark_name]
-    assert diagnostics == [], render_text(diagnostics)
+    assert diagnostics == [], "\n".join(map(Diagnostic.render, diagnostics))
 
 
 def test_all_workloads_were_analysed(lint_all_workloads):

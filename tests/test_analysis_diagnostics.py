@@ -14,7 +14,6 @@ from repro.analysis import (
     Rule,
     RuleRegistry,
     Severity,
-    max_severity,
 )
 from repro.errors import AnalysisError
 
@@ -66,14 +65,6 @@ def test_diagnostic_to_dict_and_render():
     assert "X001 error" in diagnostic.render()
 
 
-def test_max_severity():
-    assert max_severity([]) is None
-    assert (
-        max_severity([_diag(severity=Severity.INFO), _diag(severity=Severity.WARNING)])
-        is Severity.WARNING
-    )
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -116,32 +107,15 @@ def test_default_registry_has_all_six_layers():
 # ---------------------------------------------------------------------------
 # Analyzer
 # ---------------------------------------------------------------------------
-def _firing_registry():
+def _firing_registry(severity=Severity.WARNING):
     registry = RuleRegistry()
 
     def fire(ctx):
         yield Finding(Location("config", ctx.subject, "x"), "it fired")
 
-    registry.register(Rule("T001", "fires", "config", Severity.WARNING, "", fire))
+    registry.register(Rule("T001", "fires", "config", severity, "", fire))
     registry.register(_noop_rule("T002"))
     return registry
-
-
-def test_analyzer_severity_override():
-    registry = _firing_registry()
-    analyzer = Analyzer(
-        registry=registry, severity_overrides={"T001": Severity.ERROR}
-    )
-    diagnostics = analyzer.run(AnalysisContext(subject="s"))
-    assert [d.severity for d in diagnostics] == [Severity.ERROR]
-
-
-def test_analyzer_unknown_override_raises():
-    with pytest.raises(AnalysisError, match="unknown rule id"):
-        Analyzer(
-            registry=_firing_registry(),
-            severity_overrides={"Z999": Severity.ERROR},
-        )
 
 
 def test_analyzer_select_ignore():
@@ -155,10 +129,7 @@ def test_analyzer_select_ignore():
 
 
 def test_check_errors_raises_with_attached_diagnostics():
-    registry = _firing_registry()
-    analyzer = Analyzer(
-        registry=registry, severity_overrides={"T001": Severity.ERROR}
-    )
+    analyzer = Analyzer(registry=_firing_registry(Severity.ERROR))
     with pytest.raises(AnalysisError, match="failed static analysis") as excinfo:
         analyzer.check_errors(AnalysisContext(subject="s"), "subject s")
     assert [d.rule_id for d in excinfo.value.diagnostics] == ["T001"]

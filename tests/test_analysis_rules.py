@@ -19,6 +19,7 @@ from repro.analysis import (
     ProgramView,
 )
 from repro.analysis.context import _energy_mapping
+from repro.energy.params import EnergyParams
 from repro.isa.instructions import Condition, Instruction, Opcode
 from repro.isa.registers import Register
 from repro.layout.layouts import Layout
@@ -193,12 +194,14 @@ def _trigger_c001():
     geometry = GeometrySpec(size_bytes=32 * 1024, ways=32, line_size=32)
     return AnalysisContext(
         subject="c", geometry=geometry,
-        energy=_energy_mapping({"way_mux_pj": 1e6}),
+        energy=_energy_mapping(EnergyParams(way_mux_pj=1e6)),
     )
 
 
 def _trigger_c002():
-    return AnalysisContext(subject="c", energy=_energy_mapping({"l0_read_pj": 500.0}))
+    return AnalysisContext(
+        subject="c", energy=_energy_mapping(EnergyParams(l0_read_pj=500.0))
+    )
 
 
 def _trigger_c003():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.energy.params import EnergyParams
 from repro.errors import AnalysisError
 from repro.experiments.runner import ExperimentRunner
+from repro.sim.machine import XSCALE_BASELINE
 
 FAST = dict(eval_instructions=20_000, profile_instructions=8_000)
 
@@ -56,6 +59,17 @@ def test_preflight_is_memoised():
     before = set(runner._preflighted)
     runner.preflight("crc", runner._resolve_layout_policy("way-placement", None))
     assert set(runner._preflighted) == before and len(before) == 1
+
+
+def test_preflight_is_keyed_by_page_size():
+    # A 1KB WPA passes at 1KB pages, but is not a multiple of 2KB pages
+    # (L004): a pass memoised at one page size must not cover another.
+    runner = ExperimentRunner(strict=True, **FAST)
+    runner.report("crc", "way-placement", wpa_size=1024)
+    large_pages = dataclasses.replace(XSCALE_BASELINE, page_size=2048)
+    with pytest.raises(AnalysisError, match="L004") as excinfo:
+        runner.report("crc", "way-placement", large_pages, wpa_size=1024)
+    assert any(d.rule_id == "L004" for d in excinfo.value.diagnostics)
 
 
 def test_spawn_spec_carries_strict_flag():

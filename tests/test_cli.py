@@ -25,10 +25,9 @@ class TestParser:
             build_parser().parse_args(["simulate", "--benchmark", "nope"])
 
     def test_replay_flags_only_on_commands_that_replay(self):
-        """lint, inspect and choose-wpa never replay a trace, so they
-        reject the replay flags at parse time instead of ignoring them."""
+        """inspect and choose-wpa never replay a trace, so they reject
+        the replay flags at parse time instead of ignoring them."""
         for command in (
-            ["lint", "crc"],
             ["inspect", "--benchmark", "crc"],
             ["choose-wpa", "--benchmark", "crc"],
         ):
@@ -41,8 +40,8 @@ class TestParser:
     @pytest.mark.parametrize("value", ["0", "3"])
     @pytest.mark.parametrize(
         "command",
-        [["choose-wpa", "--benchmark", "crc"], ["lint", "crc"], ["verify", "crc"]],
-        ids=["choose-wpa", "lint", "verify"],
+        [["choose-wpa", "--benchmark", "crc"], ["verify", "crc"]],
+        ids=["choose-wpa", "verify"],
     )
     def test_page_kb_must_be_a_power_of_two(self, command, value, capsys):
         """A bad page size is a usage error, not a traceback from the

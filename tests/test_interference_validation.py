@@ -8,7 +8,7 @@ actually happen.  The replay itself is held against the engine kernels
 (total misses must agree exactly), so the decomposition is anchored to
 the same counters the figures are built from.
 
-Budgets match the CI lint/analyze jobs (20k eval / 8k profile), so the
+Budgets match the CI verify step (20k eval / 8k profile), so the
 whole sweep stays inside unit-test time.
 """
 

@@ -59,7 +59,12 @@ def test_verify_unaligned_wpa_fails(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze", "crc"], ["analyze", "--interference"], ["verify", "--all-workloads"]],
+    [
+        ["analyze", "crc"],
+        ["analyze", "--interference"],
+        ["verify", "--all-workloads"],
+        ["lint", "crc"],
+    ],
 )
 def test_removed_commands_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -80,6 +85,32 @@ def test_verify_select_restricts_rules(capsys):
     out = capsys.readouterr().out
     assert "V005" not in out  # the rule was deselected...
     assert "proof=FAILS" in out  # ...but the proof still carries the verdict
+
+
+def test_verify_ignore_drops_rules(capsys):
+    # Ignoring the rule that catches an oversized WPA removes it from the
+    # diagnostics; the proof still fails the workload.
+    assert main(["verify", "crc", "--ignore", "V", "--wpa-kb", "64", *FAST]) == 2
+    out = capsys.readouterr().out
+    assert "V005" not in out
+    assert "proof=FAILS" in out
+
+
+def test_verify_unknown_selector_errors(capsys):
+    assert main(["verify", "crc", "--select", "Z", *FAST]) == 1
+    assert "matches no rule" in capsys.readouterr().err
+
+
+def test_verify_text_lists_warnings(capsys):
+    # The original layout leaves the hot code where it falls (L003): a
+    # warning does not fail the workload, but the text verdict shows it
+    # with its hint indented under it.
+    assert main(["verify", "crc", "--layout", "original", *FAST]) == 0
+    out = capsys.readouterr().out
+    assert "diagnostics=1" in out
+    assert "L003 warning" in out
+    assert "\n        hint: " in out
+    assert "1/1 workload(s) certified" in out
 
 
 def test_verify_text_counts_configs(capsys):
