@@ -17,10 +17,11 @@ is simulated:
 * :mod:`~repro.analysis.engine` — the :class:`Analyzer`, which runs a
   rule selection over a context.
 
-Entry points: ``repro verify`` (each certificate carries its workload's
-diagnostics), ``ExperimentRunner(strict=True)`` pre-flights, and
-:func:`repro.program.validate.validate_program` (now a wrapper over the
-``P`` rules).  See ``docs/analysis.md`` for the rule catalog.
+Two entry points run the rules: every program build, through
+:func:`repro.program.validate.validate_program` (a wrapper over the ``P``
+rules), and ``repro verify`` (each certificate carries its workload's
+diagnostics from every rule).  See ``docs/analysis.md`` for the rule
+catalog.
 """
 
 from repro.analysis.context import (

@@ -40,6 +40,7 @@ from repro.verify.dataflow import (
     dominators_of,
     entry_block_uid,
     immediate_dominators,
+    nontrivial_sccs,
     reverse_postorder,
 )
 
@@ -124,62 +125,6 @@ def block_lines(
     first = address >> offset_bits
     last = (address + size - 1) >> offset_bits
     return [line << offset_bits for line in range(first, last + 1)]
-
-
-def _cyclic_uids(graph: FlowGraph, reachable: List[int]) -> Set[int]:
-    """Uids on some cycle of the reachable subgraph (iterative Tarjan)."""
-    index_of: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    cyclic: Set[int] = set()
-    counter = 0
-    in_scope = set(reachable)
-
-    for root in reachable:
-        if root in index_of:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            succs = [
-                s for s in graph.successors.get(node, ()) if s in in_scope
-            ]
-            advanced = False
-            while child_index < len(succs):
-                child = succs[child_index]
-                child_index += 1
-                if child not in index_of:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[child])
-            if advanced:
-                continue
-            work[-1] = (node, child_index)
-            if child_index >= len(succs):
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    component: List[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1 or node in graph.successors.get(node, ()):
-                        cyclic.update(component)
-    return cyclic
 
 
 @dataclass(frozen=True)
@@ -291,7 +236,11 @@ def analyze_cache(
                     changed = True
     converged = not changed
 
-    cyclic = _cyclic_uids(graph, rpo)
+    cyclic = {
+        uid
+        for component in nontrivial_sccs(rpo, graph.successors, frozenset())
+        for uid in component
+    }
     reachable = set(rpo)
     sites: Dict[int, Tuple[Tuple[int, Classification], ...]] = {}
     per_line: Dict[int, List[int]] = {}  # addr -> [hits, misses, unknown, cycle]

@@ -226,8 +226,8 @@ class AnalysisContext:
     """Everything the rules may inspect; any field may be absent.
 
     Rules self-gate: a rule whose inputs are missing simply reports
-    nothing, so one context type serves program-only validation, strict
-    pre-flights and certificates alike.
+    nothing, so one context type serves program-only validation and
+    certificates alike.
     """
 
     subject: str = "config"

@@ -23,16 +23,6 @@ class Severity(enum.IntEnum):
     WARNING = 20
     ERROR = 30
 
-    @classmethod
-    def from_name(cls, name: str) -> "Severity":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            valid = ", ".join(level.name.lower() for level in cls)
-            raise ValueError(
-                f"unknown severity {name!r} (expected one of: {valid})"
-            ) from None
-
     def __str__(self) -> str:
         return self.name.lower()
 

@@ -2,7 +2,7 @@
 
 The :class:`Analyzer` is configured once (rule selection) and reused
 across many contexts: ``repro verify`` builds one per invocation, and
-the strict experiment pre-flight one per check.
+:func:`analyze_program` one per program build.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.analysis.context import AnalysisContext
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.registry import DEFAULT_REGISTRY, RuleRegistry
-from repro.errors import AnalysisError
 from repro.program.program import Program
 
 # Importing the rule modules populates DEFAULT_REGISTRY.
@@ -54,23 +53,6 @@ class Analyzer:
                     )
                 )
         diagnostics.sort(key=Diagnostic.sort_key)
-        return diagnostics
-
-    def check_errors(self, context: AnalysisContext, what: str) -> List[Diagnostic]:
-        """Run and raise :class:`AnalysisError` on error-severity findings.
-
-        Returns the (possibly empty) list of non-error diagnostics when the
-        context is acceptable, so callers can surface warnings if they care.
-        """
-        diagnostics = self.run(context)
-        errors = [d for d in diagnostics if d.severity >= Severity.ERROR]
-        if errors:
-            rendered = "\n".join(f"  - {d.render()}" for d in errors)
-            raise AnalysisError(
-                f"{what} failed static analysis with "
-                f"{len(errors)} error(s):\n{rendered}",
-                diagnostics=diagnostics,
-            )
         return diagnostics
 
 

@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from repro.analysis.absint.analysis import absint_flow_graph, block_lines
 from repro.analysis.context import AnalysisContext, GeometrySpec, LayoutView, ProgramView
-from repro.verify.dataflow import FlowGraph, reverse_postorder
+from repro.verify.dataflow import FlowGraph, nontrivial_sccs, reverse_postorder
 
 __all__ = [
     "BASE",
@@ -159,76 +159,6 @@ class InterferenceGraph:
         return 0
 
 
-def _nontrivial_sccs(
-    nodes: Sequence[int],
-    successors: Mapping[int, Tuple[int, ...]],
-    blocked: FrozenSet[Tuple[int, int]],
-) -> List[List[int]]:
-    """Non-trivial SCCs (size > 1, or a self-loop) of the filtered subgraph.
-
-    Iterative Tarjan over ``nodes`` with ``blocked`` edges removed.  Each
-    component is returned sorted ascending and the list is ordered by its
-    smallest member, so the decomposition is deterministic and independent
-    of traversal order.
-    """
-    in_scope = set(nodes)
-    index_of: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    counter = 0
-    found: List[List[int]] = []
-
-    def edges(node: int) -> List[int]:
-        return [
-            succ
-            for succ in successors.get(node, ())
-            if succ in in_scope and (node, succ) not in blocked
-        ]
-
-    for root in sorted(in_scope):
-        if root in index_of:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = edges(node)
-            advanced = False
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index_of:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index_of[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or node in edges(node):
-                    found.append(sorted(component))
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    found.sort(key=lambda comp: comp[0])
-    return found
-
-
 def _headers(component: Sequence[int], graph: FlowGraph) -> List[int]:
     """Loop headers: members entered from outside the component.
 
@@ -262,7 +192,7 @@ def build_loop_nest(graph: FlowGraph, max_depth: int = MAX_LOOP_DEPTH) -> LoopNe
     ]
     while work:
         level, nodes, blocked, prefix = work.pop()
-        for comp in _nontrivial_sccs(nodes, graph.successors, blocked):
+        for comp in nontrivial_sccs(nodes, graph.successors, blocked):
             index = len(components)
             members = frozenset(comp)
             components.append(LoopComponent(level, members))

@@ -189,7 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="WPA size to certify against (default: fitted to the binary)",
     )
-    verify.add_argument("--page-kb", type=_power_of_two, default=1)
+    verify.add_argument(
+        "--page-kb",
+        type=_power_of_two,
+        default=1,
+        help="page size in KB for the rules, the proof and every replay "
+        "(default 1)",
+    )
     _add_replay_arguments(verify)
 
     bench = sub.add_parser("bench", help="benchmark snapshot utilities")
@@ -281,12 +287,6 @@ def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
         "docs/performance.md)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="lint every program+layout+config before simulating "
-        "(refuses to run on error-severity diagnostics)",
-    )
-    parser.add_argument(
         "--sanitize",
         action="store_true",
         help="check sanitizer invariants on every simulation "
@@ -336,7 +336,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         profile_instructions=getattr(args, "profile_instructions", None),
         engine=getattr(args, "engine", None),
         cache_dir=getattr(args, "cache_dir", None),
-        strict=getattr(args, "strict", False),
         sanitize=getattr(args, "sanitize", False),
         resilience=_resilience_from_args(args),
     )
@@ -568,6 +567,7 @@ def _split_selectors(values: Optional[List[str]]) -> Optional[List[str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import dataclasses
     import time
 
     from repro.analysis import Analyzer
@@ -584,14 +584,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     runner = _make_runner(args)
     policy = LayoutPolicy(args.layout)
+    machine = dataclasses.replace(XSCALE_BASELINE, page_size=args.page_kb * KB)
     started = time.perf_counter()
     certificates = [
         certify_workload(
             runner,
             benchmark,
             policy=policy,
+            machine=machine,
             wpa_size=args.wpa_kb * KB if args.wpa_kb is not None else None,
-            page_size=args.page_kb * KB,
             analyzer=analyzer,
         )
         for benchmark in targets

@@ -77,15 +77,8 @@ class ExperimentError(ReproError):
 
 
 class AnalysisError(ReproError):
-    """Static analysis failed or (in strict mode) found error diagnostics.
-
-    When raised by a strict pre-flight the offending diagnostics are
-    attached as the ``diagnostics`` attribute.
-    """
-
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics) if diagnostics is not None else []
+    """The static rule catalog was misused: a duplicate or unknown rule
+    id, or a selector that matches no rule."""
 
 
 class SanitizerError(ReproError):

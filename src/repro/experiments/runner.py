@@ -108,7 +108,6 @@ class ExperimentRunner:
         seed: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         engine: Optional[str] = None,
-        strict: bool = False,
         sanitize: bool = False,
         resilience: Optional[ResilienceConfig] = None,
     ):
@@ -125,7 +124,6 @@ class ExperimentRunner:
         self.seed = seed
         self.store = TraceStore.resolve(cache_dir)
         self.engine = engine
-        self.strict = strict
         self.sanitize = sanitize
         self.resilience = resilience.validate() if resilience is not None else None
         #: Structured outcome of the most recent :meth:`run_grid` call.
@@ -140,7 +138,6 @@ class ExperimentRunner:
         self._mem_fractions: Dict[str, float] = {}
         self._reports: Dict[tuple, SimulationReport] = {}
         self._digests: Dict[str, str] = {}
-        self._preflighted: set = set()
 
     # ------------------------------------------------------------------
     # Persistent-cache keys
@@ -324,8 +321,6 @@ class ExperimentRunner:
         one.  Pass ``layout_policy`` to break that pairing (ablations).
         """
         layout_policy = self._resolve_layout_policy(scheme, layout_policy)
-        if self.strict:
-            self.preflight(benchmark, layout_policy, machine, wpa_size)
         key = self._report_key(
             benchmark, scheme, machine, wpa_size, layout_policy, same_line_skip, l0_size
         )
@@ -372,22 +367,20 @@ class ExperimentRunner:
         return run.normalise(baseline)
 
     # ------------------------------------------------------------------
-    # Static analysis (strict pre-flight, certification)
+    # Static analysis (certification)
     # ------------------------------------------------------------------
     def fitted_wpa_size(
         self,
         benchmark: str,
         layout_policy: LayoutPolicy,
         machine: MachineConfig = XSCALE_BASELINE,
-        page_size: Optional[int] = None,
     ) -> int:
-        """The WPA that covers the whole binary, page-aligned, capped at capacity."""
+        """The WPA that covers the whole binary, aligned to the machine's
+        page size, capped at the I-cache capacity."""
         from repro.utils.bitops import align_up
 
-        if page_size is None:
-            page_size = machine.page_size
         end = self.layout(benchmark, layout_policy).end_address
-        return min(machine.icache.size_bytes, align_up(end, page_size))
+        return min(machine.icache.size_bytes, align_up(end, machine.page_size))
 
     def analysis_context(
         self,
@@ -395,14 +388,12 @@ class ExperimentRunner:
         layout_policy: LayoutPolicy,
         machine: MachineConfig = XSCALE_BASELINE,
         wpa_size: int = 0,
-        page_size: Optional[int] = None,
     ) -> "AnalysisContext":
         """Everything the static rules inspect behind one experiment.
 
         The program, its profile, the ``layout_policy`` layout, the
-        machine's I-cache geometry, the WPA and page sizes, and this
-        runner's energy parameters (``page_size`` defaults to the
-        machine's).
+        machine's I-cache geometry and page size, the WPA, and this
+        runner's energy parameters.
         """
         from repro.analysis import AnalysisContext
 
@@ -414,37 +405,10 @@ class ExperimentRunner:
             edge_counts=profile.edge_counts,
             geometry=machine.icache,
             wpa_size=wpa_size or None,
-            page_size=machine.page_size if page_size is None else page_size,
+            page_size=machine.page_size,
             energy=self.energy_params,
             subject=benchmark,
         )
-
-    def preflight(
-        self,
-        benchmark: str,
-        layout_policy: LayoutPolicy,
-        machine: MachineConfig = XSCALE_BASELINE,
-        wpa_size: int = 0,
-    ) -> None:
-        """Lint the program, layout, and config behind one simulation.
-
-        Raises :class:`~repro.errors.AnalysisError` when any error-severity
-        diagnostic is found; called automatically before every simulation
-        when the runner was built with ``strict=True``.  Results are
-        memoised per (benchmark, layout, geometry, page size, WPA) so
-        sweeps pay the analysis once.
-        """
-        from repro.analysis import Analyzer
-
-        key = (benchmark, layout_policy, machine.icache, machine.page_size, wpa_size)
-        if key in self._preflighted:
-            return
-        Analyzer().check_errors(
-            self.analysis_context(benchmark, layout_policy, machine, wpa_size),
-            f"benchmark {benchmark!r} ({layout_policy.value} layout, "
-            f"WPA {wpa_size}B)",
-        )
-        self._preflighted.add(key)
 
     # ------------------------------------------------------------------
     # Supervised grids
@@ -467,7 +431,6 @@ class ExperimentRunner:
             "seed": self.seed,
             "cache_dir": str(self.store.root) if self.store else "off",
             "engine": self.engine,
-            "strict": self.strict,
             "sanitize": self.sanitize,
         }
 

@@ -77,8 +77,8 @@ def grid_digest(spec: Mapping[str, Any], cell_keys: Sequence[str]) -> str:
     """Digest of (runner spec, cell set) identifying a resumable grid.
 
     Only result-bearing spec fields participate: the cache directory,
-    engine choice, and strict/sanitize switches do not change the numbers
-    a grid produces, so changing them must not orphan a journal.
+    engine choice, and sanitize switch do not change the numbers a grid
+    produces, so changing them must not orphan a journal.
     """
     digest = hashlib.sha256()
     for name in (

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import (
-    AnalysisError,
     CacheConfigError,
     EnergyModelError,
     ExperimentError,
@@ -42,7 +41,6 @@ __all__ = [
 
 #: Static configuration/model errors: no engine can change the outcome.
 _NON_RETRYABLE = (
-    AnalysisError,
     CacheConfigError,
     EnergyModelError,
     ExperimentError,
@@ -56,11 +54,11 @@ _NON_RETRYABLE = (
 def is_retryable(error: BaseException) -> bool:
     """Can an attempt on the reference engine succeed where this one failed?
 
-    Static configuration errors (bad geometry, unknown scheme, strict
-    pre-flight diagnostics) fail the same way on every engine, so they
-    are fatal at once.  Everything else — a
-    :class:`~repro.errors.SanitizerError` from a fast kernel, I/O faults,
-    injected chaos, plain bugs — gets the reference attempt.
+    Static configuration errors (bad geometry, unknown scheme, invalid
+    layout) fail the same way on every engine, so they are fatal at once.
+    Everything else — a :class:`~repro.errors.SanitizerError` from a fast
+    kernel, I/O faults, injected chaos, plain bugs — gets the reference
+    attempt.
     """
     return not isinstance(error, _NON_RETRYABLE)
 

@@ -221,6 +221,7 @@ class WorkloadCertificate:
             not self.errors
             and self.proof.holds
             and not self.sanitizer_violations
+            and len(self.configs) == len(CONFIGS)
             and all(config.ok for config in self.configs)
         )
 
@@ -314,19 +315,20 @@ def certify_workload(
     policy: LayoutPolicy = LayoutPolicy.WAY_PLACEMENT,
     machine: MachineConfig = XSCALE_BASELINE,
     wpa_size: Optional[int] = None,
-    page_size: Optional[int] = None,
     analyzer: Optional[Analyzer] = None,
 ) -> WorkloadCertificate:
-    """Build one workload's certificate (see the module docstring)."""
-    if page_size is None:
-        page_size = machine.page_size
-    if wpa_size is None:
-        wpa_size = runner.fitted_wpa_size(benchmark, policy, machine, page_size)
+    """Build one workload's certificate (see the module docstring).
 
-    context = runner.analysis_context(benchmark, policy, machine, wpa_size, page_size)
+    ``machine`` carries the geometry and the page size of every layer: the
+    rules, the proof, the sanitized replay and each configuration entry.
+    """
+    if wpa_size is None:
+        wpa_size = runner.fitted_wpa_size(benchmark, policy, machine)
+
+    context = runner.analysis_context(benchmark, policy, machine, wpa_size)
     diagnostics = (analyzer if analyzer is not None else Analyzer()).run(context)
     proof = prove_wpa_placement(
-        GeometrySpec.from_geometry(machine.icache), wpa_size, page_size
+        GeometrySpec.from_geometry(machine.icache), wpa_size, machine.page_size
     )
 
     violations: Tuple[SanitizerViolation, ...] = ()
@@ -354,6 +356,11 @@ def certify_workload(
             if scheme == "baseline"
             else runner.fitted_wpa_size(benchmark, config_policy, machine)
         )
+        if config_wpa % machine.page_size:
+            # Only a page larger than the cache leaves no page-aligned WPA;
+            # the I-TLB cannot mark it, so the entry is missing and the
+            # certificate fails.
+            continue
         # The entry matching the certificate's own layout and WPA reuses its
         # context, and so the fixpoint and graph the A and I rules cached.
         config_context = (
@@ -410,7 +417,7 @@ def render_certificates_text(certificates: List[WorkloadCertificate]) -> str:
             f"proof={'holds' if certificate.proof.holds else 'FAILS'} "
             f"diagnostics={len(certificate.diagnostics)} "
             f"sanitizer={len(certificate.sanitizer_violations)} "
-            f"configs={configs_ok}/{len(certificate.configs)}"
+            f"configs={configs_ok}/{len(CONFIGS)}"
         )
         for diagnostic in certificate.diagnostics:
             lines.extend(f"    {line}" for line in diagnostic.render().splitlines())

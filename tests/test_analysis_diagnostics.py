@@ -36,12 +36,6 @@ def test_severity_is_ordered():
     assert str(Severity.WARNING) == "warning"
 
 
-def test_severity_from_name_round_trips():
-    assert Severity.from_name("Error") is Severity.ERROR
-    with pytest.raises(ValueError, match="unknown severity"):
-        Severity.from_name("fatal")
-
-
 def test_diagnostic_sort_key_orders_by_rule_then_location():
     diagnostics = [
         _diag(rule_id="X002", detail="a"),
@@ -107,13 +101,13 @@ def test_default_registry_has_all_six_layers():
 # ---------------------------------------------------------------------------
 # Analyzer
 # ---------------------------------------------------------------------------
-def _firing_registry(severity=Severity.WARNING):
+def _firing_registry():
     registry = RuleRegistry()
 
     def fire(ctx):
         yield Finding(Location("config", ctx.subject, "x"), "it fired")
 
-    registry.register(Rule("T001", "fires", "config", severity, "", fire))
+    registry.register(Rule("T001", "fires", "config", Severity.WARNING, "", fire))
     registry.register(_noop_rule("T002"))
     return registry
 
@@ -126,16 +120,3 @@ def test_analyzer_select_ignore():
     assert len(Analyzer(registry=registry, select=["T001"]).run(
         AnalysisContext(subject="s")
     )) == 1
-
-
-def test_check_errors_raises_with_attached_diagnostics():
-    analyzer = Analyzer(registry=_firing_registry(Severity.ERROR))
-    with pytest.raises(AnalysisError, match="failed static analysis") as excinfo:
-        analyzer.check_errors(AnalysisContext(subject="s"), "subject s")
-    assert [d.rule_id for d in excinfo.value.diagnostics] == ["T001"]
-
-
-def test_check_errors_passes_warnings_through():
-    analyzer = Analyzer(registry=_firing_registry())
-    diagnostics = analyzer.check_errors(AnalysisContext(subject="s"), "subject s")
-    assert [d.severity for d in diagnostics] == [Severity.WARNING]

@@ -37,6 +37,28 @@ class TestParser:
                     build_parser().parse_args(command + flag)
                 assert exit_info.value.code == 2, (command, flag)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["figure4"],
+            ["figure5"],
+            ["figure6"],
+            ["simulate", "--benchmark", "crc"],
+            ["report"],
+            ["export", "--figure", "4"],
+            ["verify", "crc"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_strict_flag_is_gone(self, command, capsys):
+        """Programs run the P rules when built and ``verify`` runs every
+        rule; no command re-runs the catalog before replaying."""
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--strict"])
+        assert exit_info.value.code == 2
+        assert "--strict" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "3"])
     @pytest.mark.parametrize(
         "command",

@@ -51,10 +51,10 @@ class TestContentKeys:
         assert grid_digest(spec, cells + ["extra"]) != grid_digest(spec, cells)
 
     def test_grid_digest_ignores_execution_only_settings(self):
-        """Changing cache dir / engine / strictness must not orphan a journal."""
+        """Changing cache dir / engine / sanitizing must not orphan a journal."""
         cells = ["k"]
         spec = {"eval_instructions": 8000, "seed": 1, "cache_dir": "/a", "engine": None}
-        other = dict(spec, cache_dir="/b", engine="reference", strict=True)
+        other = dict(spec, cache_dir="/b", engine="reference", sanitize=True)
         assert grid_digest(spec, cells) == grid_digest(other, cells)
 
     def test_cell_order_does_not_matter(self):

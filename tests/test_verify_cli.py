@@ -57,6 +57,29 @@ def test_verify_unaligned_wpa_fails(capsys):
     assert "V006" in out
 
 
+def test_verify_page_size_reaches_every_layer(capsys):
+    # sha's binary ends 7KB in: at 2KB pages its fitted WPA is 8KB, in
+    # the certificate and in the replayed way-placement entry alike.
+    assert main(["verify", "sha", "--page-kb", "2", "--format", "json", *FAST]) == 0
+    (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert certificate["wpa_size"] % 2048 == 0
+    for config in certificate["configs"]:
+        assert config["wpa_size"] % 2048 == 0
+    (way_placement,) = [
+        c for c in certificate["configs"] if c["scheme"] == "way-placement"
+    ]
+    assert way_placement["wpa_size"] == certificate["wpa_size"]
+
+
+def test_verify_page_larger_than_the_cache_fails(capsys):
+    # No WPA within the 32KB cache is a whole number of 64KB pages, so the
+    # way-placement entry cannot be replayed and the certificate fails.
+    assert main(["verify", "crc", "--page-kb", "64", *FAST]) == 2
+    out = capsys.readouterr().out
+    assert "FAILED" in out and "configs=1/2" in out
+    assert "L004" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
