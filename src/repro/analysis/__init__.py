@@ -11,9 +11,8 @@ is simulated:
 * :mod:`~repro.analysis.registry` — rule registration with
   ``--select``/``--ignore`` resolution;
 * :mod:`~repro.analysis.rules` — the concrete rule catalog: ``P``
-  (program structure), ``L`` (layout/WPA), ``C`` (config), ``A``
-  (abstract-interpretation cache behaviour, backed by
-  :mod:`repro.analysis.absint`);
+  (program structure), ``L`` (layout/WPA) and ``C`` (config), beside
+  the ``V`` rules that :mod:`repro.verify` registers;
 * :mod:`~repro.analysis.engine` — the :class:`Analyzer`, which runs a
   rule selection over a context.
 

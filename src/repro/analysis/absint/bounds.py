@@ -13,12 +13,13 @@ provably bracketed, without replaying the sequential cache state:
   are bracketed per set:
 
   - every distinct line must miss at least once (the cache starts cold),
-    so ``misses >= distinct lines``; a line the abstract interpretation
-    proves can *never* hit (``CacheBehavior.never_hit``) contributes all
-    of its occurrences instead;
-  - a **budget-one** set (see ``repro.analysis.absint.lattice``: the
-    lines mapping to it can structurally never evict each other) misses
-    exactly once per distinct line and never evicts;
+    so ``misses >= distinct lines``;
+  - a **budget-one** set (the lines mapping to it can never cause an
+    eviction: for baseline, at most ``ways`` distinct lines; for
+    way-placement, pairwise-distinct mandated ways for the WPA lines and
+    few enough policy lines that the round-robin pointer can never reach
+    a mandated way) misses exactly once per distinct line and never
+    evicts;
   - any other set misses at most once per event and evicts at most once
     per fill beyond the first (the very first fill of a set finds an
     invalid way);
@@ -37,7 +38,7 @@ any real run.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -119,14 +120,8 @@ def footprint_bounds(
     page_size: int = 1024,
     same_line_skip: Optional[bool] = None,
     hint_initial: bool = False,
-    never_hit: Optional[FrozenSet[int]] = None,
 ) -> Optional[CounterBounds]:
-    """Bracket every counter of one replay config, or ``None`` if unmodelled.
-
-    ``never_hit`` optionally carries the abstract interpretation's
-    proven-miss lines (addresses); without it the bounds use the trace
-    footprint alone, which is what the S008 sanitizer checks.
-    """
+    """Bracket every counter of one replay config, or ``None`` if unmodelled."""
     if scheme not in BOUNDED_SCHEMES:
         return None
     place = scheme == "way-placement"
@@ -134,7 +129,6 @@ def footprint_bounds(
         same_line_skip = place  # the schemes' constructor defaults
     if not place:
         wpa_size = 0
-    proven_miss = never_hit or frozenset()
 
     n = events.num_events
     fetches = events.num_fetches
@@ -210,8 +204,8 @@ def footprint_bounds(
             )
         else:
             budget_one = distinct <= ways
+        miss_low += distinct
         for line, occ, _home in members:
-            miss_low += occ if line in proven_miss else 1
             if place and line < wpa_size:
                 wp_low += 1
                 wp_high += 1 if budget_one else occ

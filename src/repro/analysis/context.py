@@ -151,14 +151,6 @@ class LayoutView:
             layout.description,
         )
 
-    @property
-    def end_address(self) -> int:
-        if not self.addresses:
-            return 0
-        return max(
-            self.addresses[uid] + self.sizes.get(uid, 0) for uid in self.addresses
-        )
-
 
 @dataclass(frozen=True)
 class GeometrySpec:

@@ -1,17 +1,5 @@
 """Concrete rules, one module per layer; importing them registers them."""
 
-from repro.analysis.rules import (
-    absint_rules,
-    config_rules,
-    interference_rules,
-    layout_rules,
-    program_rules,
-)
+from repro.analysis.rules import config_rules, layout_rules, program_rules
 
-__all__ = [
-    "absint_rules",
-    "config_rules",
-    "interference_rules",
-    "layout_rules",
-    "program_rules",
-]
+__all__ = ["config_rules", "layout_rules", "program_rules"]

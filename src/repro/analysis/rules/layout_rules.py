@@ -10,7 +10,7 @@ while a layout that displaces hot chains with cold ones is flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.diagnostics import Location, Severity
@@ -177,44 +177,6 @@ def check_wpa_page_multiple(context: AnalysisContext) -> Iterator[Finding]:
             f"WPA size {wpa} is not a positive multiple of the "
             f"{page}-byte page (the I-TLB marks the area per page)",
             f"round the WPA up to {((max(wpa, 0) + page - 1) // page) * page} bytes",
-        )
-
-
-@rule(
-    "L005",
-    "wpa-way-conflict",
-    "layout",
-    Severity.WARNING,
-    "Two occupied WPA lines share a mandated (set, way): the one-home "
-    "guarantee is broken and they evict each other.",
-)
-def check_wpa_way_conflict(context: AnalysisContext) -> Iterator[Finding]:
-    layout, geometry, wpa = context.layout, context.geometry, context.wpa_size
-    if layout is None or geometry is None or not wpa or not geometry.is_sound():
-        return
-    homes: Dict[Tuple[int, int], int] = {}
-    conflicts: List[Tuple[int, int]] = []
-    for uid in sorted(layout.addresses):
-        start = layout.addresses[uid]
-        end = start + layout.sizes.get(uid, 0)
-        if start < 0:
-            continue  # L002's problem
-        line = (start // geometry.line_size) * geometry.line_size
-        while line < min(end, wpa):
-            home = (geometry.set_index(line), geometry.mandated_way(line))
-            first = homes.setdefault(home, line)
-            if first != line:
-                conflicts.append((first, line))
-            line += geometry.line_size
-    if conflicts:
-        first, second = conflicts[0]
-        yield Finding(
-            _layout_location(context, f"line {second:#x}"),
-            f"{len(conflicts)} WPA line(s) share a mandated (set, way) with "
-            f"an earlier line; e.g. {first:#x} and {second:#x} both map to "
-            f"set {geometry.set_index(first)}, way {geometry.mandated_way(first)}",
-            f"keep the WPA within one cache coverage "
-            f"({geometry.size_bytes} bytes)",
         )
 
 

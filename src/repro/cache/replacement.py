@@ -1,10 +1,10 @@
 """Round-robin replacement, XScale's policy.
 
 Every cache in the reproduction replaces round robin: the reference
-:class:`~repro.cache.cam_cache.CamCache`, the vectorized kernels, the
-static counter bounds and the conflict replay all model exactly this
-policy, so it is the only one.  The policy holds a rotating pointer per
-set; ``victim`` proposes the way to replace and advances the pointer.
+:class:`~repro.cache.cam_cache.CamCache` and the vectorized kernels both
+model exactly this policy, so it is the only one.  The policy holds a
+rotating pointer per set; ``victim`` proposes the way to replace and
+advances the pointer.
 """
 
 from __future__ import annotations

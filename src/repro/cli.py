@@ -26,11 +26,8 @@ Commands
 ``verify``
     Full workload certification (see docs/verification.md): every static
     rule of docs/analysis.md (``--select``/``--ignore`` pick rules), the
-    symbolic WPA placement proof, a sanitized kernel replay, and per
-    replay configuration (baseline on the original layout, way-placement
-    on the profile-chained layout) the static counter/energy bounds and
-    the conflict replay checked against the engine (see
-    docs/static_analysis.md).  Exit 2 when any workload fails.
+    symbolic WPA placement proof and a sanitized kernel replay.  Exit 2
+    when any workload fails.
 ``bench compare``
     Gate on the checked-in bench snapshot (``BENCH_engine.json``):
     fail when a guarded engine speedup drops more than the tolerance.
@@ -155,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="certify workloads: rules + WPA proof + sanitizer + "
-        "static bounds and conflict replay per configuration",
+        help="certify workloads: rules + WPA proof + sanitized replay",
     )
     verify.add_argument(
         "targets",

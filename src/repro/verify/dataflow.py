@@ -11,9 +11,6 @@ This module holds the graph machinery behind the ``V`` verification rules:
   dominator arguments about traces sound.
 * **Dominators** — iterative Cooper-Harvey-Kennedy immediate dominators
   in reverse postorder.
-* **Cycles** — iterative Tarjan strongly connected components, which the
-  cache analyses use to find the blocks on ICFG cycles and to peel loop
-  nests.
 * **Kirchhoff flow conservation** — a profiled block count must equal
   the sum of its profiled incoming edge counts.  The trace walker emits
   one unbroken block sequence that starts at the program entry and
@@ -33,7 +30,7 @@ This module holds the graph machinery behind the ``V`` verification rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.context import LayoutView, ProgramView
 from repro.program.basic_block import BlockKind
@@ -50,7 +47,6 @@ __all__ = [
     "flow_imbalances",
     "illegal_edges",
     "immediate_dominators",
-    "nontrivial_sccs",
     "reverse_postorder",
 ]
 
@@ -117,76 +113,6 @@ def reverse_postorder(graph: FlowGraph) -> List[int]:
             stack.pop()
     order.reverse()
     return order
-
-
-def nontrivial_sccs(
-    nodes: Sequence[int],
-    successors: Mapping[int, Tuple[int, ...]],
-    blocked: FrozenSet[Tuple[int, int]],
-) -> List[List[int]]:
-    """Non-trivial SCCs (size > 1, or a self-loop) of the filtered subgraph.
-
-    Iterative Tarjan over ``nodes`` with ``blocked`` edges removed.  Each
-    component is returned sorted ascending and the list is ordered by its
-    smallest member, so the decomposition is deterministic and independent
-    of traversal order.
-    """
-    in_scope = set(nodes)
-    index_of: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    counter = 0
-    found: List[List[int]] = []
-
-    def edges(node: int) -> List[int]:
-        return [
-            succ
-            for succ in successors.get(node, ())
-            if succ in in_scope and (node, succ) not in blocked
-        ]
-
-    for root in sorted(in_scope):
-        if root in index_of:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = edges(node)
-            advanced = False
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index_of:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index_of[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or node in edges(node):
-                    found.append(sorted(component))
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    found.sort(key=lambda comp: comp[0])
-    return found
 
 
 def immediate_dominators(graph: FlowGraph) -> Dict[int, int]:

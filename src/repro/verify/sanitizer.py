@@ -2,7 +2,7 @@
 
 The static verifier proves properties of the *inputs* (program, profile,
 layout, geometry); this module asserts that a *simulation* respected the
-model while it ran.  Nine invariants, each with a stable ``S###`` id:
+model while it ran.  Eight invariants, each with a stable ``S###`` id:
 
 ==== ========================  =====================================================
 id   name                      what must hold
@@ -24,12 +24,8 @@ S006 baseline-differential     way-placement with an empty WPA produces exactly 
 S007 segment-monotonicity      counters grow monotonically and account for every
                                event as segments replay
 S008 static-bounds-bracketing  every counter falls inside the static lower/upper
-                               bounds the abstract interpretation derives from the
-                               trace footprint (``repro.analysis.absint.bounds``)
-S009 conflict-certificate-     the per-set conflict replay reproduces the kernel's
-     replay                    total misses, and every set the interference
-                               analysis certifies conflict-free replays zero
-                               conflict misses (``repro.analysis.interference``)
+                               bounds derived from the trace footprint
+                               (``repro.analysis.absint.bounds``)
 ==== ========================  =====================================================
 
 Two consumers: :class:`SanitizerHook` wraps a reference
@@ -61,7 +57,6 @@ __all__ = [
     "SANITIZER_INVARIANTS",
     "SanitizerHook",
     "SanitizerViolation",
-    "check_conflict_certificates",
     "check_counters",
     "check_differential",
     "check_energy",
@@ -84,7 +79,6 @@ SANITIZER_INVARIANTS: Dict[str, str] = {
     "S006": "baseline-differential",
     "S007": "segment-monotonicity",
     "S008": "static-bounds-bracketing",
-    "S009": "conflict-certificate-replay",
 }
 
 #: Counters a scheme without hint/WPA machinery must leave untouched.
@@ -411,13 +405,12 @@ def check_static_bounds(
 ) -> List[SanitizerViolation]:
     """S008: counters must fall inside the static footprint bounds.
 
-    The abstract interpretation brackets every counter of the baseline and
-    way-placement replays from the trace footprint alone
-    (:func:`repro.analysis.absint.bounds.footprint_bounds`); any counter
-    escaping its bracket means either the engine or the static model is
-    wrong.  Configurations the bounds do not model are skipped.  Imported
-    lazily: the bounds live under ``repro.analysis``, which must stay
-    importable without the verifier.
+    :func:`repro.analysis.absint.bounds.footprint_bounds` brackets every
+    counter of the baseline and way-placement replays from the trace
+    footprint alone; any counter escaping its bracket means either the
+    engine or the bounds are wrong.  Configurations the bounds do not
+    model are skipped.  Imported lazily: the bounds live under
+    ``repro.analysis``, which must stay importable without the verifier.
     """
     from repro.analysis.absint.bounds import bounds_for_options
 
@@ -428,62 +421,6 @@ def check_static_bounds(
         _violation("S008", f"{scheme_name}: {violation.render()}")
         for violation in bounds.violations(counters)
     ]
-
-
-def check_conflict_certificates(
-    scheme_name: str,
-    events: LineEventTrace,
-    geometry: CacheGeometry,
-    counters: FetchCounters,
-    options: Mapping[str, Any],
-) -> List[SanitizerViolation]:
-    """S009: conflict replay matches, and certified sets replay clean.
-
-    The per-set conflict replay (:mod:`repro.analysis.interference.replay`)
-    models exactly the miss behaviour of the reference baseline and
-    way-placement schemes (misses are independent of the way-hint
-    predictor), so its total must equal the kernel's miss counter.  On top
-    of that equality sits the certificate check: any set the static
-    interference analysis certifies conflict-free must decompose into cold
-    misses only.  Schemes the replay does not model are skipped.  Imported
-    lazily for the same reason as :func:`check_static_bounds`.
-    """
-    if scheme_name not in ("baseline", "way-placement"):
-        return []
-    from repro.analysis.context import GeometrySpec
-    from repro.analysis.interference.replay import (
-        conflict_free_violations,
-        conflict_replay,
-        trace_certified_sets,
-    )
-
-    wpa_size = (
-        int(options.get("wpa_size", 0)) if scheme_name == "way-placement" else 0
-    )
-    spec = GeometrySpec.from_geometry(geometry)
-    replay = conflict_replay(events, spec, wpa_size)
-    violations: List[SanitizerViolation] = []
-    if replay.total_misses != counters.misses:
-        violations.append(
-            _violation(
-                "S009",
-                f"{scheme_name}: conflict replay saw {replay.total_misses} "
-                f"misses but the kernel counted {counters.misses}",
-            )
-        )
-    certified = trace_certified_sets(events, spec, wpa_size)
-    for set_index, conflicts in sorted(
-        conflict_free_violations(replay, certified).items()
-    ):
-        violations.append(
-            _violation(
-                "S009",
-                f"{scheme_name}: set {set_index} was certified conflict-free "
-                f"at wpa_size={wpa_size} yet replayed {conflicts} conflict "
-                f"miss(es)",
-            )
-        )
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +455,6 @@ def sanitize_counters(
     elif scheme_name == "baseline":
         violations += check_hint_inert(counters)
     violations += check_static_bounds(scheme_name, events, geometry, counters, opts)
-    violations += check_conflict_certificates(
-        scheme_name, events, geometry, counters, opts
-    )
     return _dedupe(violations)
 
 

@@ -88,6 +88,15 @@ def lint_all_workloads():
 
 
 @pytest.fixture(scope="session")
+def paper_grid():
+    """Figures 4-6 on all 23 benchmarks at 20k/8k, run once in-process,
+    with the cells and reports of their one grid."""
+    from tests.test_golden_grid import run_paper_grid
+
+    return run_paper_grid(jobs=1)
+
+
+@pytest.fixture(scope="session")
 def crc_workload():
     return load_benchmark("crc")
 

@@ -8,8 +8,6 @@ Hypothesis-generated streams over an adversarial option grid, plus:
 
 * **exactness** on structurally eviction-free (budget-one) streams,
   where the interval must collapse to a point;
-* **refinement**: proven never-hit lines raise the miss lower bound and
-  the refined bracket still contains the real run;
 * **gating**: :func:`bounds_for_options` declines (returns ``None``)
   exactly the configurations the model does not cover;
 * **energy**: pricing the bracket endpoints brackets the priced energy
@@ -106,42 +104,6 @@ class TestExactness:
             reference_counters("baseline", {"page_size": 16}, events),
             "baseline conflicted",
         )
-
-
-class TestNeverHitRefinement:
-    #: 0 and 256 share (set, mandated way): the classic WPA ping-pong.
-    THRASH = [(0, 1), (256, 1)] * 4
-
-    def test_refinement_tightens_and_still_brackets(self):
-        events = events_from(self.THRASH)
-        kwargs = dict(wpa_size=512, page_size=16)
-        plain = footprint_bounds("way-placement", events, TINY_GEOMETRY, **kwargs)
-        refined = footprint_bounds(
-            "way-placement",
-            events,
-            TINY_GEOMETRY,
-            never_hit=frozenset({0, 256}),
-            **kwargs,
-        )
-        assert refined.lower.misses > plain.lower.misses
-        # Every access of a proven never-hit line is a miss: the refined
-        # lower bound is the whole stream, meeting the upper bound.
-        assert refined.lower.misses == len(self.THRASH)
-        actual = reference_counters("way-placement", kwargs, events)
-        assert_bracketed(refined, actual, "refined thrash")
-        assert actual.misses == len(self.THRASH)
-
-    def test_unrelated_never_hit_lines_are_ignored(self):
-        events = events_from(self.THRASH)
-        bounds = footprint_bounds(
-            "way-placement",
-            events,
-            TINY_GEOMETRY,
-            wpa_size=512,
-            page_size=16,
-            never_hit=frozenset({4096}),  # not in the trace footprint
-        )
-        assert bounds.lower.misses == 2  # one per distinct line, as unrefined
 
 
 class TestOptionGating:

@@ -92,9 +92,9 @@ def test_registry_unknown_selector_raises():
         registry.selection(["Z"])
 
 
-def test_default_registry_has_all_six_layers():
+def test_default_registry_has_all_four_layers():
     layers = {rule.layer for rule in DEFAULT_REGISTRY}
-    assert layers == {"program", "layout", "config", "verify", "absint", "interference"}
+    assert layers == {"program", "layout", "config", "verify"}
     assert len(DEFAULT_REGISTRY) >= 10
 
 

@@ -149,16 +149,6 @@ def _trigger_l004():
     return AnalysisContext(subject="p", wpa_size=1536, page_size=1024)
 
 
-def _trigger_l005():
-    # 1KB cache: lines at 0x0 and 0x400 share a mandated (set, way).
-    geometry = GeometrySpec(size_bytes=1024, ways=2, line_size=32)
-    layout = LayoutView("p", {0: 0, 1: 1024}, {0: 32, 1: 32})
-    return AnalysisContext(
-        subject="p", layout=layout, geometry=geometry,
-        wpa_size=2048, page_size=1024,
-    )
-
-
 def _displaced_context():
     program = _hot_cold_program()
     layout = Layout.from_order(
@@ -208,102 +198,6 @@ def _trigger_c003():
     return AnalysisContext(subject="c", geometry=GeometrySpec(3000, 3, 24))
 
 
-# ---------------------------------------------------------------------------
-# Abstract-interpretation rules
-# ---------------------------------------------------------------------------
-def _absint_context(functions, addresses, sizes, wpa_size):
-    # 1KB 2-way cache, 32B lines: 16 sets, mandated way = tag & 1, so
-    # addresses 1024 apart share both their set and their mandated way.
-    return AnalysisContext(
-        subject="p",
-        program=ProgramView("p", list(functions), entry="main"),
-        layout=LayoutView("p", addresses, sizes),
-        geometry=GeometrySpec(size_bytes=1024, ways=2, line_size=32),
-        wpa_size=wpa_size,
-        page_size=1024,
-    )
-
-
-def _thrash_context():
-    """An a<->b loop over WPA lines 0x0/0x400: same set, same mandated way.
-
-    Every entry into ``a`` comes through ``b``'s forced fill (and vice
-    versa), so the fixpoint proves both lines miss on every fetch.
-    """
-    jump = Instruction(Opcode.B, target="b")
-    back = Instruction(Opcode.B, condition=Condition.NE, target="a")
-    a = _block(0, "a", "main", (ALU, jump), BlockKind.JUMP, taken_label="b")
-    b = _block(
-        1, "b", "main", (ALU, back), BlockKind.CONDJUMP,
-        taken_label="a", fall_label="exit",
-    )
-    exit_ = _block(2, "exit", "main", (RET,), BlockKind.RETURN)
-    return _absint_context(
-        [Function("main", (a, b, exit_))],
-        {0: 0, 1: 1024, 2: 0x820},
-        {0: 32, 1: 32, 2: 32},
-        wpa_size=2048,
-    )
-
-
-def _trigger_a001():
-    # The ping-pong proves both aliased WPA lines never hit on the cycle.
-    return _thrash_context()
-
-
-def _trigger_a002():
-    # Each WPA page's only site is a certain miss: conclusive, hitless.
-    return _thrash_context()
-
-
-def _trigger_a003():
-    # A branchy loop over conflicting non-WPA lines (wpa below the code):
-    # the join at 'a' keeps every residency uncertain, so all 13 reachable
-    # sites stay unknown and none is a guaranteed hit.
-    pick = Instruction(Opcode.B, condition=Condition.NE, target="b")
-    again = Instruction(Opcode.B, condition=Condition.NE, target="a")
-    back = Instruction(Opcode.B, target="a")
-    a = _block(
-        0, "a", "main", (ALU, pick), BlockKind.CONDJUMP,
-        taken_label="b", fall_label="c",
-    )
-    b = _block(1, "b", "main", (ALU, back), BlockKind.JUMP, taken_label="a")
-    c = _block(
-        2, "c", "main", (ALU, again), BlockKind.CONDJUMP,
-        taken_label="a", fall_label="exit",
-    )
-    exit_ = _block(3, "exit", "main", (RET,), BlockKind.RETURN)
-    return _absint_context(
-        [Function("main", (a, b, c, exit_))],
-        {0: 0x200, 1: 0x400, 2: 0x600, 3: 0x800},
-        {0: 128, 1: 128, 2: 128, 3: 32},
-        wpa_size=32,
-    )
-
-
-def _trigger_a004():
-    # 'dead' places a WPA line, but no edge reaches it from the entry.
-    a = _block(0, "a", "main", (RET,), BlockKind.RETURN)
-    dead = _block(1, "dead", "main", (RET,), BlockKind.RETURN)
-    return _absint_context(
-        [Function("main", (a, dead))], {0: 0, 1: 32}, {0: 32, 1: 32},
-        wpa_size=1024,
-    )
-
-
-def _trigger_a005():
-    # The WPA spans two pages but only page 0 holds placed code.
-    a = _block(0, "a", "main", (RET,), BlockKind.RETURN)
-    return _absint_context(
-        [Function("main", (a,))], {0: 0}, {0: 32}, wpa_size=2048
-    )
-
-
-def _trigger_a006():
-    # Two executed WPA lines pinned to one (set, way), one proven lossy.
-    return _thrash_context()
-
-
 TRIGGERS = {
     "P001": _trigger_p001,
     "P002": _trigger_p002,
@@ -317,30 +211,19 @@ TRIGGERS = {
     "L002": _trigger_l002,
     "L003": _trigger_l003,
     "L004": _trigger_l004,
-    "L005": _trigger_l005,
     "L006": _trigger_l006,
     "L007": _trigger_l007,
     "C001": _trigger_c001,
     "C002": _trigger_c002,
     "C003": _trigger_c003,
-    "A001": _trigger_a001,
-    "A002": _trigger_a002,
-    "A003": _trigger_a003,
-    "A004": _trigger_a004,
-    "A005": _trigger_a005,
-    "A006": _trigger_a006,
 }
 
 
 def test_every_registered_rule_has_a_trigger():
-    from tests.test_interference_rules import I_TRIGGERS
     from tests.test_verify_rules import V_TRIGGERS
 
-    covered = set(TRIGGERS) | set(V_TRIGGERS) | set(I_TRIGGERS)
-    assert covered == set(DEFAULT_REGISTRY.ids())
+    assert set(TRIGGERS) | set(V_TRIGGERS) == set(DEFAULT_REGISTRY.ids())
     assert not set(TRIGGERS) & set(V_TRIGGERS)
-    assert not set(TRIGGERS) & set(I_TRIGGERS)
-    assert not set(V_TRIGGERS) & set(I_TRIGGERS)
 
 
 @pytest.mark.parametrize("rule_id", sorted(TRIGGERS))
@@ -377,12 +260,3 @@ def test_clean_toy_program_has_no_program_diagnostics():
     context = AnalysisContext.for_program(program)
     assert Analyzer(select=("P",)).run(context) == []
 
-
-def test_way_conflict_absent_within_one_cache_coverage():
-    geometry = GeometrySpec(size_bytes=1024, ways=2, line_size=32)
-    layout = LayoutView("p", {0: 0, 1: 512}, {0: 32, 1: 32})
-    context = AnalysisContext(
-        subject="p", layout=layout, geometry=geometry,
-        wpa_size=1024, page_size=1024,
-    )
-    assert [d for d in Analyzer().run(context) if d.rule_id == "L005"] == []

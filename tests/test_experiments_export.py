@@ -16,7 +16,7 @@ from repro.experiments.export import (
     records_to_csv,
     records_to_json,
 )
-from repro.experiments.figures import figure4, figure5, figure6, paper_figures
+from repro.experiments.figures import figure4, figure5, figure6
 from repro.experiments.report import paper_checklist, reproduction_report
 from repro.experiments.runner import ExperimentRunner
 from repro.resilience import chaos
@@ -112,11 +112,10 @@ class TestReport:
             assert item.claim and item.measured
             assert isinstance(item.passed, bool)
 
-    def test_paper_checklist_passes_on_the_full_suite(self):
+    def test_paper_checklist_passes_on_the_full_suite(self, paper_grid):
         # Every paper claim, measured on all 23 benchmarks at a budget
         # small enough for tier 1.
-        full = ExperimentRunner(eval_instructions=20_000, profile_instructions=8_000)
-        fig4, fig5, fig6 = paper_figures(full)
+        fig4, fig5, fig6 = paper_grid.figures
         assert len(fig4.benchmarks) == 23
         failing = [
             f"{item.claim}: {item.measured}"

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
+import repro.analysis.absint.bounds as static_bounds
 import repro.verify.certify as certify
-from repro.analysis.absint import BoundsViolation
 from repro.cli import main
+from repro.verify.sanitizer import SanitizerViolation
 
 FAST = ["--eval-instructions", "20000", "--profile-instructions", "8000"]
 
@@ -57,27 +58,80 @@ def test_verify_unaligned_wpa_fails(capsys):
     assert "V006" in out
 
 
-def test_verify_page_size_reaches_every_layer(capsys):
-    # sha's binary ends 7KB in: at 2KB pages its fitted WPA is 8KB, in
-    # the certificate and in the replayed way-placement entry alike.
+def test_verify_page_size_reaches_every_layer(capsys, monkeypatch):
+    # sha's binary ends 7KB in: at 2KB pages its fitted WPA is 8KB, in the
+    # certificate and in the sanitized replay alike.
+    replays = []
+    real = certify.sanitize_events
+
+    def spy(events, geometry, wpa_size, **kwargs):
+        replays.append((wpa_size, kwargs["page_size"]))
+        return real(events, geometry, wpa_size, **kwargs)
+
+    monkeypatch.setattr(certify, "sanitize_events", spy)
     assert main(["verify", "sha", "--page-kb", "2", "--format", "json", *FAST]) == 0
     (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
     assert certificate["wpa_size"] % 2048 == 0
-    for config in certificate["configs"]:
-        assert config["wpa_size"] % 2048 == 0
-    (way_placement,) = [
-        c for c in certificate["configs"] if c["scheme"] == "way-placement"
-    ]
-    assert way_placement["wpa_size"] == certificate["wpa_size"]
+    assert replays == [(certificate["wpa_size"], 2048)]
 
 
 def test_verify_page_larger_than_the_cache_fails(capsys):
-    # No WPA within the 32KB cache is a whole number of 64KB pages, so the
-    # way-placement entry cannot be replayed and the certificate fails.
+    # No WPA within the 32KB cache is a whole number of 64KB pages, so L004
+    # fires and the certificate fails.
     assert main(["verify", "crc", "--page-kb", "64", *FAST]) == 2
     out = capsys.readouterr().out
-    assert "FAILED" in out and "configs=1/2" in out
+    assert "FAILED" in out
     assert "L004" in out
+
+
+def test_verify_tampered_replay_exit_code(capsys, monkeypatch):
+    # A sanitized replay that reports a violation fails the certificate.
+    violation = SanitizerViolation("S001", "counter-consistency", "injected fault")
+    monkeypatch.setattr(certify, "sanitize_events", lambda *a, **k: [violation])
+    assert main(["verify", "crc", *FAST]) == 2
+    out = capsys.readouterr().out
+    assert "FAILED" in out and "sanitizer=1" in out
+    assert "    S001 counter-consistency: injected fault" in out
+
+    assert main(["verify", "crc", "--format", "json", *FAST]) == 2
+    (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert certificate["ok"] is False
+    assert certificate["sanitizer_violations"] == [
+        {
+            "invariant": "S001",
+            "name": "counter-consistency",
+            "message": "injected fault",
+        }
+    ]
+
+
+def test_verify_tampered_bounds_exit_code(capsys, monkeypatch):
+    # The sanitized replay checks both kernels against the static footprint
+    # bounds (S008): a bracket the baseline cannot meet fails the certificate.
+    real = static_bounds.bounds_for_options
+
+    def tampered(scheme, events, geometry, options):
+        bounds = real(scheme, events, geometry, options)
+        if scheme != "baseline":
+            return bounds
+        return dataclasses.replace(
+            bounds,
+            lower=dataclasses.replace(bounds.lower, misses=0),
+            upper=dataclasses.replace(bounds.upper, misses=1),
+        )
+
+    monkeypatch.setattr(static_bounds, "bounds_for_options", tampered)
+    assert main(["verify", "crc", *FAST]) == 2
+    out = capsys.readouterr().out
+    assert "FAILED" in out and "sanitizer=1" in out
+    (line,) = [line for line in out.splitlines() if "S008" in line]
+    assert line.startswith("    S008 static-bounds-bracketing: baseline: misses = ")
+    assert line.endswith(" outside static bounds [0, 1]")
+
+    assert main(["verify", "crc", "--format", "json", *FAST]) == 2
+    (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert certificate["ok"] is False
+    assert [v["invariant"] for v in certificate["sanitizer_violations"]] == ["S008"]
 
 
 @pytest.mark.parametrize(
@@ -134,128 +188,3 @@ def test_verify_text_lists_warnings(capsys):
     assert "L003 warning" in out
     assert "\n        hint: " in out
     assert "1/1 workload(s) certified" in out
-
-
-def test_verify_text_counts_configs(capsys):
-    assert main(["verify", "crc", *FAST]) == 0
-    out = capsys.readouterr().out
-    assert "configs=2/2" in out
-    assert "1/1 workload(s) certified" in out
-
-
-def test_verify_json_configs_bracket_the_engine(capsys):
-    outputs = []
-    for _ in range(2):
-        assert main(["verify", "crc", "bitcount", "--format", "json", *FAST]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-
-    payload = json.loads(outputs[0])
-    assert payload["summary"] == {"certified": 2, "failed": 0, "total": 2}
-    for certificate in payload["certificates"]:
-        assert certificate["ok"] is True
-        order = [(c["scheme"], c["layout"]) for c in certificate["configs"]]
-        assert order == [
-            ("baseline", "original"),
-            ("way-placement", "way-placement"),
-        ]
-        for config in certificate["configs"]:
-            assert config["ok"] is True
-            assert (config["wpa_size"] == 0) == (config["scheme"] == "baseline")
-            absint = config["absint"]
-            assert absint["bounds_hold"] is True
-            assert absint["violations"] == []
-            assert absint["fixpoint"]["converged"] is True
-            low, high = absint["energy_bracket_pj"]
-            assert low <= absint["energy_pj"] <= high
-            for field, (lower, upper) in absint["bounds"].items():
-                assert lower <= upper, field
-
-
-def test_verify_crc_conflict_replay_matches(capsys):
-    assert main(["verify", "crc", "--format", "json", *FAST]) == 0
-    (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
-    for config in certificate["configs"]:
-        interference = config["interference"]
-        assert interference["ok"] is True
-        assert interference["replay"]["misses_match"] is True
-        assert interference["violations"] == {}
-        assert set(interference["trace_certified_sets"]) <= set(
-            range(interference["sets"])
-        )
-
-
-def test_verify_tampered_bounds_exit_code(capsys, monkeypatch):
-    real = certify._certify_config
-
-    def tampered(*args, **kwargs):
-        config = real(*args, **kwargs)
-        if config.scheme != "baseline":
-            return config
-        return dataclasses.replace(
-            config, bounds_violations=(BoundsViolation("misses", 10**9, 0, 1),)
-        )
-
-    monkeypatch.setattr(certify, "_certify_config", tampered)
-    assert main(["verify", "crc", *FAST]) == 2
-    out = capsys.readouterr().out
-    assert "FAILED" in out and "configs=1/2" in out
-    assert (
-        "baseline/original: misses = 1000000000 outside static bounds [0, 1]"
-        in out
-    )
-
-
-def test_verify_tampered_replay_exit_code(capsys, monkeypatch):
-    real = certify.conflict_replay
-
-    def tampered(events, geometry, wpa_size=0):
-        replay = real(events, geometry, wpa_size)
-        return dataclasses.replace(replay, total_misses=replay.total_misses + 1)
-
-    monkeypatch.setattr(certify, "conflict_replay", tampered)
-    assert main(["verify", "crc", *FAST]) == 2
-    out = capsys.readouterr().out
-    assert "FAILED" in out and "configs=0/2" in out
-    assert "way-placement/way-placement: replay misses" in out
-
-    assert main(["verify", "crc", "--format", "json", *FAST]) == 2
-    (certificate,) = json.loads(capsys.readouterr().out)["certificates"]
-    assert certificate["ok"] is False
-    # the sanitizer's own replay is untouched: only the entries fail
-    assert certificate["sanitizer_violations"] == []
-    for config in certificate["configs"]:
-        assert config["ok"] is False
-        assert config["absint"]["bounds_hold"] is True
-        replay = config["interference"]["replay"]
-        assert replay["misses_match"] is False
-        assert replay["total_misses"] == replay["measured_misses"] + 1
-
-
-def test_certificate_runs_each_analysis_once(monkeypatch):
-    import repro.analysis.absint.analysis as absint_analysis
-    import repro.analysis.interference.graph as interference_graph
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = ExperimentRunner(eval_instructions=20_000, profile_instructions=8_000)
-    calls = {"fixpoint": 0, "graph": 0}
-
-    def counted(key, real):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    fixpoint = counted("fixpoint", absint_analysis.analyze_cache)
-    monkeypatch.setattr(absint_analysis, "analyze_cache", fixpoint)
-    monkeypatch.setattr(certify, "analyze_cache", fixpoint)
-    monkeypatch.setattr(
-        interference_graph,
-        "build_interference_graph",
-        counted("graph", interference_graph.build_interference_graph),
-    )
-    assert certify.certify_workload(runner, "crc").ok
-    # One of each per configuration: the profile-chained entry reuses what
-    # the A and I rules computed on the certificate's own context.
-    assert calls == {"fixpoint": 2, "graph": 2}

@@ -5,8 +5,8 @@ Every bundled workload's evaluation trace replays through the vectorized
 checks — zero violations expected; a WPA sweep's per-cell kernel
 counters must come back bit-identical to the reference schemes on every
 workload, and Figure 6's own cells on two workloads at each of its nine
-cache geometries; and both tiers' counters must sit inside the abstract
-interpretation's static bounds (the S008 invariant).  One session-scoped
+cache geometries; and both tiers' counters must sit inside the static
+footprint bounds (the S008 invariant).  One session-scoped
 runner serves all parametrized cases so profiling, layout, and trace
 generation happen once per benchmark.
 """
@@ -129,7 +129,7 @@ def test_kernels_agree_on_the_figure6_geometries(agreement_runner, workload):
                 _assert_cell_agrees(agreement_runner, workload, machine, scheme, policy, wpa)
 
 
-#: The starved 2KB/2-way geometry of ``tests/test_interference_validation.py``.
+#: A starved 2KB/2-way geometry: small enough for the baseline to evict.
 STARVED = XSCALE_BASELINE.with_icache(2 * 1024, 2)
 
 
@@ -152,7 +152,7 @@ def test_kernels_agree_on_a_starved_geometry(agreement_runner, workload):
 
 @pytest.mark.parametrize("workload", benchmark_names())
 def test_static_bounds_bracket_every_engine_tier(agreement_runner, workload):
-    """The absint counter bounds contain both tiers' replay results.
+    """The static footprint bounds contain both tiers' replay results.
 
     This is the S008 invariant exercised explicitly: for the baseline and
     the fitted way-placement configuration, every FetchCounters field from

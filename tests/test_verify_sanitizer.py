@@ -23,7 +23,6 @@ from repro.trace.events import LineEventTrace
 from repro.verify.sanitizer import (
     SANITIZER_INVARIANTS,
     SanitizerHook,
-    check_conflict_certificates,
     check_counters,
     check_differential,
     check_energy,
@@ -34,7 +33,6 @@ from repro.verify.sanitizer import (
     sanitize_counters,
     sanitize_events,
 )
-from tests.scheme_helpers import TINY_GEOMETRY, events_from
 
 GEOMETRY = XSCALE_BASELINE.icache
 WPA = 4 * 1024
@@ -260,60 +258,6 @@ def test_hook_refuses_to_rerun(events):
 
 
 # ---------------------------------------------------------------------------
-# S009 — conflict certificates against reference replay
-# ---------------------------------------------------------------------------
-def test_clean_conflict_certificates_hold(events, wp_counters):
-    base = baseline_counters(events, GEOMETRY)
-    assert (
-        check_conflict_certificates("baseline", events, GEOMETRY, base, {}) == []
-    )
-    assert (
-        check_conflict_certificates(
-            "way-placement", events, GEOMETRY, wp_counters, {"wpa_size": WPA}
-        )
-        == []
-    )
-
-
-def test_s009_fires_on_tampered_miss_total(events, wp_counters):
-    bad = dataclasses.replace(wp_counters, misses=wp_counters.misses + 1)
-    violations = check_conflict_certificates(
-        "way-placement", events, GEOMETRY, bad, {"wpa_size": WPA}
-    )
-    assert "S009" in _ids(violations)
-
-
-def test_s009_fires_on_a_wrong_wpa_claim():
-    # Lines 0x0 and 0x100 share set 0 and mandated way 0 of the tiny
-    # geometry: pinned they evict each other (4 misses), round-robin
-    # they coexist (2 misses).  Counters measured with the WPA active
-    # but checked under a lying ``wpa_size=0`` must not pass.
-    stream = events_from([0, 256, 0, 256])
-    pinned = way_placement_counters(
-        stream, TINY_GEOMETRY, wpa_size=512, page_size=16
-    )
-    assert (
-        check_conflict_certificates(
-            "way-placement", stream, TINY_GEOMETRY, pinned, {"wpa_size": 512}
-        )
-        == []
-    )
-    violations = check_conflict_certificates(
-        "way-placement", stream, TINY_GEOMETRY, pinned, {"wpa_size": 0}
-    )
-    assert "S009" in _ids(violations)
-
-
-def test_s009_skips_unmodelled_schemes(events, wp_counters):
-    assert (
-        check_conflict_certificates(
-            "way-memoization", events, GEOMETRY, wp_counters, {}
-        )
-        == []
-    )
-
-
-# ---------------------------------------------------------------------------
 # Dispatchers
 # ---------------------------------------------------------------------------
 def test_sanitize_counters_clean_for_both_fast_schemes(events, wp_counters):
@@ -367,5 +311,4 @@ def test_invariant_catalog_is_closed():
         "S006",
         "S007",
         "S008",
-        "S009",
     }
