@@ -9,9 +9,10 @@ Commands
 ``figure4`` / ``figure5`` / ``figure6``
     Regenerate a figure (optionally on a benchmark subset).  Grid commands
     (these, ``report`` and ``export``) run one supervised grid, in-process
-    or on ``--jobs`` workers, and honour the supervision flags at any
-    ``--jobs`` — ``--timeout`` and ``--resume`` — described in
-    docs/robustness.md.
+    or on ``--jobs`` workers, under ``--timeout`` (see
+    docs/robustness.md).  With the trace cache on, an interrupted grid
+    resumes when the same command runs again: each finished cell waits
+    in the cache until its grid completes.
 ``simulate``
     Run one (benchmark, scheme, geometry, WPA) combination and print the
     normalised result plus the activity counters behind it.
@@ -52,7 +53,6 @@ from repro.experiments.formatting import render_table
 from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
 from repro.layout.wpa_select import choose_wpa_size
-from repro.resilience.policy import ResilienceConfig
 from repro.sim.machine import XSCALE_BASELINE, table1_rows
 from repro.utils.bitops import is_power_of_two
 from repro.workloads.mibench import MIBENCH_BENCHMARKS, benchmark_names
@@ -307,23 +307,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
             "the parent (default: no timeout)"
         ),
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted identical grid from its checkpoint "
-            "journal, re-executing only the missing cells"
-        ),
-    )
-
-
-def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
-    """A ResilienceConfig when any supervision flag was given, else None."""
-    timeout = getattr(args, "timeout", None)
-    resume = getattr(args, "resume", False)
-    if timeout is None and not resume:
-        return None
-    return ResilienceConfig(timeout_s=timeout, resume=resume).validate()
 
 
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -333,7 +316,7 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         engine=getattr(args, "engine", None),
         cache_dir=getattr(args, "cache_dir", None),
         sanitize=getattr(args, "sanitize", False),
-        resilience=_resilience_from_args(args),
+        timeout_s=getattr(args, "timeout", None),
     )
 
 

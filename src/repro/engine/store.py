@@ -8,6 +8,13 @@ artifact depends on (format version, a digest of the program structure,
 input name, walker seed, instruction budget, layout digest, line size) —
 and stores it under ``REPRO_CACHE_DIR`` (default ``.repro_cache/``).
 
+Four kinds of entry live there: profiles, block traces and line-event
+traces, and the reports of supervised grid cells.  A cell's report is
+saved as the cell finishes and deleted when its grid completes, so an
+interrupted grid resumes by being run again; its key covers the cell, the
+runner's result-bearing settings and :func:`source_digest`, so a change
+to any of them adopts nothing (see :mod:`repro.resilience.supervisor`).
+
 Block/event traces are stored as mmap-able ``.npy``-per-array entry
 *directories* (``blocks-<hash>.v2/``, see :mod:`repro.trace.io`): loads
 return read-only page-cache-backed views instead of heap copies, so every
@@ -25,9 +32,6 @@ Safety properties:
   entry that cannot even be deleted (read-only cache) is quarantined to
   ``<cache>/quarantine/`` so it can never be loaded again (``stats()``
   reports the quarantine, ``clear()`` empties it);
-* ``clear()`` also deletes the supervised grids' resume journals under
-  ``<cache>/grids/``, so a ``--resume`` after a clear re-executes its
-  cells instead of adopting reports from before the clear;
 * writes go through a uniquely named temp file/directory plus
   ``os.replace``, so concurrent workers (the parallel grid runner) never
   observe partial entries;
@@ -47,6 +51,7 @@ exactly these code paths instead of monkeypatching globals.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -54,13 +59,14 @@ import os
 import shutil
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from repro.errors import ProfileError
+from repro.errors import ReproError
 from repro.layout.layouts import Layout
 from repro.profiling.profile_data import ProfileData
 from repro.program.program import Program
 from repro.resilience.chaos import chaos_point, corrupt_file
+from repro.sim.report import SimulationReport
 from repro.trace import io as trace_io
 from repro.trace.events import LineEventTrace
 from repro.trace.executor import BlockTrace
@@ -69,6 +75,7 @@ __all__ = [
     "TraceStore",
     "layout_digest",
     "program_digest",
+    "source_digest",
     "suppress_write_warnings",
     "warn_write_failure",
 ]
@@ -76,6 +83,7 @@ __all__ = [
 _DEFAULT_DIR = ".repro_cache"
 _DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled"})
 _PROFILE_KIND = "repro-profile-cache-v1"
+_REPORT_KIND = "repro-report-cache-v1"
 
 #: Process-wide staging-name counter: combined with the pid and a random
 #: nonce, two threads saving the same key can never collide on a temp name.
@@ -147,26 +155,66 @@ def layout_digest(layout: Layout) -> str:
     return digest.hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Digest of every ``.py`` file of the ``repro`` package.
+
+    Part of every stored report's key, so a report computed by other code
+    is never adopted.  Computed once per process, on first use.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(f"{path.relative_to(root).as_posix()}\n".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _save_json(
+    payload: Dict[str, Any], cache_kind: str, path: Union[str, Path], key: str
+) -> None:
+    """Write a JSON entry: ``payload`` stamped with its kind and cache key."""
+    record = {**payload, "cache_kind": cache_kind, "cache_key": key}
+    Path(path).write_text(json.dumps(record, sort_keys=True))
+
+
+def _load_json(
+    path: Union[str, Path], cache_kind: str, expected_key: Optional[str]
+) -> Dict[str, Any]:
+    """Read a :func:`_save_json` entry.
+
+    Like :func:`repro.trace.io.load_events`: a torn, stale or foreign
+    entry raises, and transient filesystem errors propagate as
+    :class:`OSError`.
+    """
+    payload = json.loads(Path(path).read_text())
+    if payload.get("cache_kind") != cache_kind or (
+        expected_key is not None and payload.get("cache_key") != expected_key
+    ):
+        raise ReproError(f"{path} is a stale or foreign {cache_kind} entry")
+    return payload
+
+
 def _save_profile(profile: ProfileData, path: Union[str, Path], key: str = "") -> None:
-    """Write a profile entry: its JSON record stamped with the cache key."""
-    payload = {**profile.to_payload(), "cache_kind": _PROFILE_KIND, "cache_key": key}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    _save_json(profile.to_payload(), _PROFILE_KIND, path, key)
 
 
 def _load_profile(
     path: Union[str, Path], expected_key: Optional[str] = None
 ) -> ProfileData:
-    """Read a profile entry written by :func:`_save_profile`.
+    return ProfileData.from_payload(_load_json(path, _PROFILE_KIND, expected_key), path)
 
-    Like :func:`repro.trace.io.load_events`: a stale or foreign entry
-    raises, and transient filesystem errors propagate as :class:`OSError`.
-    """
-    payload = json.loads(Path(path).read_text())
-    if payload.get("cache_kind") != _PROFILE_KIND or (
-        expected_key is not None and payload.get("cache_key") != expected_key
-    ):
-        raise ProfileError(f"{path} is a stale or foreign profile cache entry")
-    return ProfileData.from_payload(payload, path)
+
+def _save_report(
+    report: SimulationReport, path: Union[str, Path], key: str = ""
+) -> None:
+    _save_json(report.to_payload(), _REPORT_KIND, path, key)
+
+
+def _load_report(
+    path: Union[str, Path], expected_key: Optional[str] = None
+) -> SimulationReport:
+    return SimulationReport.from_payload(_load_json(path, _REPORT_KIND, expected_key))
 
 
 class TraceStore:
@@ -176,7 +224,7 @@ class TraceStore:
     #: derived.  Version 2 = mmap-able entry directories.
     FORMAT_VERSION = 2
 
-    _KINDS = ("blocks", "events", "profile")
+    _KINDS = ("blocks", "events", "profile", "report")
     _V2_SUFFIX = ".v2"
 
     def __init__(self, root: Union[str, Path]):
@@ -211,8 +259,8 @@ class TraceStore:
     # ------------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> Path:
         name = hashlib.sha256(key.encode()).hexdigest()[:24]
-        if kind == "profile":
-            return self.root / f"profile-{name}.json"
+        if kind in ("profile", "report"):
+            return self.root / f"{kind}-{name}.json"
         return self.root / f"{kind}-{name}{self._V2_SUFFIX}"
 
     def _discard(self, path: Path) -> None:
@@ -281,8 +329,8 @@ class TraceStore:
             pass
 
     # ------------------------------------------------------------------
-    # Entries: block and line-event traces (via repro.trace.io) and
-    # profiles, each a load/save pair that checks and stamps the key
+    # Entries: block and line-event traces (via repro.trace.io), profiles
+    # and cell reports, each a load/save pair that checks and stamps the key
     # ------------------------------------------------------------------
     def _load_entry(
         self, kind: str, key: str, load: Callable[..., object]
@@ -358,6 +406,21 @@ class TraceStore:
     def save_profile(self, key: str, profile: ProfileData) -> Optional[Path]:
         return self._save_entry("profile", key, profile, _save_profile)
 
+    def load_report(self, key: str) -> Optional[SimulationReport]:
+        report = self._load_entry("report", key, _load_report)
+        return report  # type: ignore[return-value]
+
+    def save_report(self, key: str, report: SimulationReport) -> Optional[Path]:
+        return self._save_entry("report", key, report, _save_report)
+
+    def delete_reports(self, keys: Iterable[str]) -> None:
+        """Delete the report entries of ``keys``; absent ones are skipped."""
+        for key in keys:
+            try:
+                self.path_for("report", key).unlink()
+            except OSError:
+                pass
+
     # ------------------------------------------------------------------
     # Introspection and management (the ``repro cache`` CLI)
     # ------------------------------------------------------------------
@@ -394,7 +457,7 @@ class TraceStore:
 
     def entries(self) -> Dict[str, int]:
         """Entry count per artifact kind."""
-        counts = {"blocks": 0, "events": 0, "profile": 0}
+        counts = {kind: 0 for kind in self._KINDS}
         for _path, kind in self._iter_entries():
             counts[kind] += 1
         return counts
@@ -426,10 +489,9 @@ class TraceStore:
     def clear(self) -> int:
         """Delete every cache entry this store recognises; returns the count.
 
-        Also empties ``quarantine/`` and the grid resume journals under
-        ``grids/`` (counting their files) and sweeps stale staging files
-        left behind by killed writers (not counted — they were never
-        entries).
+        Also empties ``quarantine/`` (counting its files) and sweeps stale
+        staging files left behind by killed writers (not counted — they
+        were never entries).
         """
         removed = 0
         if not self.root.is_dir():
@@ -442,14 +504,13 @@ class TraceStore:
                 ".tmp" + path.suffix
             ):
                 removed += 1
-        for directory in (self.root / "quarantine", self.root / "grids"):
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.iterdir()):
+        quarantine = self.root / "quarantine"
+        if quarantine.is_dir():
+            for path in sorted(quarantine.iterdir()):
                 if self._remove_entry(path):
                     removed += 1
             try:
-                directory.rmdir()
+                quarantine.rmdir()
             except OSError:
                 pass
         return removed

@@ -135,7 +135,8 @@ def reproduction_report(
 
     The three figures run as one grid (see
     :func:`~repro.experiments.figures.paper_figures`), so a report has one
-    worker pool, one resume journal and one ``runner.last_grid``.
+    worker pool and one ``runner.last_grid``, and an interrupted report
+    resumes every cell it finished when it runs again on the same store.
     """
     fig4, fig5, fig6 = paper_figures(runner, benchmarks=benchmarks, jobs=jobs)
     checklist = paper_checklist(fig4, fig5, fig6)

@@ -13,7 +13,8 @@ profile (small input)      benchmark
 layout                     benchmark, policy
 block trace (large input)  benchmark
 line events                benchmark, policy, line size
-simulation report          benchmark, scheme, geometry, wpa, options
+simulation report          grid cell (benchmark, scheme, whole machine,
+                           wpa, options), policy
 ========================  =============================================
 
 Two caches back the memoisation:
@@ -22,7 +23,8 @@ Two caches back the memoisation:
 * a **persistent** :class:`~repro.engine.store.TraceStore` (default
   ``.repro_cache/``, override or disable with ``REPRO_CACHE_DIR``) holding
   profiles, block traces, and line-event traces keyed by content — a fresh
-  process with a warm cache performs no CFG walks at all.
+  process with a warm cache performs no CFG walks at all.  The supervisor
+  also keeps each finished cell's report there until its grid completes.
 
 Instruction budgets default to 400k evaluated / 100k profiled instructions
 per benchmark and can be overridden by the ``REPRO_EVAL_INSTRUCTIONS`` /
@@ -52,7 +54,7 @@ from repro.errors import ExperimentError
 from repro.layout.layouts import Layout
 from repro.layout.placement import LayoutPolicy, make_layout
 from repro.profiling.profile_data import ProfileData
-from repro.resilience.policy import FailureReport, ResilienceConfig
+from repro.resilience.policy import FailureReport, check_timeout
 from repro.resilience.supervisor import GridSummary, supervise_grid
 from repro.profiling.profiler import dynamic_memory_fraction, profile_block_trace
 from repro.sim.machine import MachineConfig, XSCALE_BASELINE
@@ -109,7 +111,7 @@ class ExperimentRunner:
         cache_dir: Optional[Union[str, Path]] = None,
         engine: Optional[str] = None,
         sanitize: bool = False,
-        resilience: Optional[ResilienceConfig] = None,
+        timeout_s: Optional[float] = None,
     ):
         self.eval_instructions = _budget(
             "eval_instructions", eval_instructions, _DEFAULT_EVAL_INSTRUCTIONS
@@ -125,7 +127,8 @@ class ExperimentRunner:
         self.store = TraceStore.resolve(cache_dir)
         self.engine = engine
         self.sanitize = sanitize
-        self.resilience = resilience.validate() if resilience is not None else None
+        #: Wall-clock budget of one grid worker (``None``: no timeout).
+        self.timeout_s = check_timeout(timeout_s)
         #: Structured outcome of the most recent :meth:`run_grid` call.
         self.last_failures: List[FailureReport] = []
         self.last_grid: Optional[GridSummary] = None
@@ -136,7 +139,7 @@ class ExperimentRunner:
         self._block_traces: Dict[str, BlockTrace] = {}
         self._events: Dict[Tuple[str, LayoutPolicy, int], LineEventTrace] = {}
         self._mem_fractions: Dict[str, float] = {}
-        self._reports: Dict[tuple, SimulationReport] = {}
+        self._reports: Dict[Tuple[GridCell, LayoutPolicy], SimulationReport] = {}
         self._digests: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -271,39 +274,6 @@ class ExperimentRunner:
             else LayoutPolicy.ORIGINAL
         )
 
-    @staticmethod
-    def _report_key(
-        benchmark: str,
-        scheme: str,
-        machine: MachineConfig,
-        wpa_size: int,
-        layout_policy: LayoutPolicy,
-        same_line_skip: Optional[bool],
-        l0_size: int,
-    ) -> tuple:
-        return (
-            benchmark,
-            scheme,
-            machine.icache,
-            wpa_size,
-            layout_policy,
-            same_line_skip,
-            l0_size if scheme == "filter-cache" else 0,
-            machine.page_size,
-            machine.itlb_entries,
-        )
-
-    def _cell_key(self, cell: GridCell) -> tuple:
-        return self._report_key(
-            cell.benchmark,
-            cell.scheme,
-            cell.machine,
-            cell.wpa_size,
-            self._resolve_layout_policy(cell.scheme, None),
-            cell.same_line_skip,
-            cell.l0_size,
-        )
-
     def report(
         self,
         benchmark: str,
@@ -320,10 +290,9 @@ class ExperimentRunner:
         runs on the profile-chained binary, everything else on the original
         one.  Pass ``layout_policy`` to break that pairing (ablations).
         """
+        cell = GridCell(benchmark, scheme, machine, wpa_size, same_line_skip, l0_size)
         layout_policy = self._resolve_layout_policy(scheme, layout_policy)
-        key = self._report_key(
-            benchmark, scheme, machine, wpa_size, layout_policy, same_line_skip, l0_size
-        )
+        key = (cell, layout_policy)
         if key not in self._reports:
             events = self.events(benchmark, layout_policy, machine.icache.line_size)
             simulator = Simulator(
@@ -340,7 +309,7 @@ class ExperimentRunner:
                 layout_description=self.layout(benchmark, layout_policy).description,
                 wpa_size=wpa_size,
                 same_line_skip=same_line_skip,
-                l0_size=l0_size,
+                l0_size=cell.l0_size,
                 mem_fraction=self.mem_fraction(benchmark),
             )
         return self._reports[key]
@@ -413,13 +382,17 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Supervised grids
     # ------------------------------------------------------------------
+    def _memo_key(self, cell: GridCell) -> Tuple[GridCell, LayoutPolicy]:
+        return (cell, self._resolve_layout_policy(cell.scheme, None))
+
     def has_report(self, cell: GridCell) -> bool:
         """Is this cell's simulation already memoised?"""
-        return self._cell_key(cell) in self._reports
+        return self._memo_key(cell) in self._reports
 
     def adopt_report(self, cell: GridCell, report: SimulationReport) -> None:
-        """Memoise a report computed elsewhere (a grid worker) for ``cell``."""
-        self._reports[self._cell_key(cell)] = report
+        """Memoise a report computed elsewhere (a grid worker or the
+        store) for ``cell``."""
+        self._reports[self._memo_key(cell)] = report
 
     def spawn_spec(self) -> dict:
         """Constructor kwargs reproducing this runner in a worker process."""
@@ -445,9 +418,10 @@ class ExperimentRunner:
         every trace at most once.  Either way, each cell replays through
         :meth:`report`, and every result lands in this runner's memo.
 
-        Execution is supervised (engine fallback, worker crash isolation,
-        checkpoint–resume) according to this runner's ``resilience``
-        config; see :mod:`repro.resilience.supervisor`.  Afterwards
+        Execution is supervised (engine fallback, worker crash isolation
+        under ``self.timeout_s``, and, with a persistent store, each
+        finished cell saved so an interrupted grid resumes by running
+        again); see :mod:`repro.resilience.supervisor`.  Afterwards
         ``self.last_grid`` / ``self.last_failures`` describe what happened.
         """
-        return supervise_grid(self, cells, jobs=jobs, config=self.resilience)
+        return supervise_grid(self, cells, jobs=jobs, timeout_s=self.timeout_s)

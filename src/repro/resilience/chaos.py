@@ -9,8 +9,11 @@ consult it:
 =============  ==========================================================
 site           where it fires
 =============  ==========================================================
-``store.load``   :class:`~repro.engine.store.TraceStore` reads
-``store.save``   :class:`~repro.engine.store.TraceStore` writes
+``store.load``   :class:`~repro.engine.store.TraceStore` reads, keyed
+                 ``kind:key`` (kind ``blocks``, ``events``, ``profile`` or
+                 ``report``, a grid cell's stored report)
+``store.save``   :class:`~repro.engine.store.TraceStore` writes, keyed
+                 like ``store.load``
 ``store.discard``  deleting a corrupt :class:`TraceStore` entry
 ``worker``       a grid worker process's entry point (key: the benchmark)
 ``kernel``       the vectorized fast path in ``Simulator.run_events``

@@ -6,7 +6,10 @@ docs/robustness.md: results bit-identical to a fault-free serial run,
 with every injected incident recovered.  The schedule covers every
 recovery rung at once: a worker crash and a worker hang (the in-process
 rung), kernel sanitizer trips and one cell fault per process (engine
-fallback), and a full disk and a torn write mid-cache-write.
+fallback), and a torn write of a line-event entry followed by a full
+disk.  The grid then runs again, fault-free, on the same store: that
+run reads the torn entry back (a miss, so it re-derives the trace) and
+must return the same reports.
 
 :func:`run_drill` runs one seeded drill and returns a summary dict;
 :func:`run_matrix` sweeps a seed matrix and aggregates.  Given the same
@@ -26,7 +29,6 @@ from repro.engine.grid import GridCell
 from repro.experiments.runner import ExperimentRunner
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosConfig, ChaosRule, describe_rules
-from repro.resilience.policy import ResilienceConfig
 
 __all__ = ["drill_cells", "build_rules", "run_drill", "run_matrix"]
 
@@ -72,8 +74,12 @@ def build_rules(seed: int) -> Tuple[ChaosRule, ...]:
         # At most one cell fault per process, so the cell's reference
         # attempt always clears it: engine fallback.
         ChaosRule("cell", "raise", times=1, probability=0.5),
-        ChaosRule("store.save", "enospc", times=1),
+        # The first line-event entry is torn as it is published.  The
+        # disk fills up only later, at the first profile save: a full disk
+        # disables store writes for the rest of the process, so an earlier
+        # one would leave nothing to tear.
         ChaosRule("store.save", "truncate", match="events:", times=1),
+        ChaosRule("store.save", "enospc", match="profile:", times=1),
     )
 
 
@@ -92,10 +98,8 @@ def run_drill(
         want = _make_runner("off").run_grid(drill_cells(), jobs=1)
     config = ChaosConfig(seed=seed, rules=build_rules(seed))
     with tempfile.TemporaryDirectory() as scratch:
-        runner = _make_runner(
-            str(Path(scratch) / "cache"),
-            resilience=ResilienceConfig(timeout_s=10.0),
-        )
+        cache = str(Path(scratch) / "cache")
+        runner = _make_runner(cache, timeout_s=10.0)
         # Warm exactly one benchmark's traces before the faults go live:
         # its cells load from the store, while the other benchmark stays
         # cold and keeps exercising the derive-and-persist path under the
@@ -107,8 +111,9 @@ def run_drill(
             runner.events(cell.benchmark, policy, cell.machine.icache.line_size)
         with chaos.active(config):
             got = runner.run_grid(drill_cells(), jobs=jobs)
+        rerun = _make_runner(cache).run_grid(drill_cells(), jobs=jobs)
     failures = list(runner.last_failures)
-    identical = got == want
+    identical = got == want and rerun == want
     recovered = all(failure.recovered for failure in failures)
     return {
         "seed": seed,

@@ -1,12 +1,12 @@
-"""Resilience policy: worker timeout, resume, failure records.
+"""Resilience policy: the worker timeout, retryability, failure records.
 
-A :class:`ResilienceConfig` describes the two settings of the supervised
-grid runner (see :mod:`repro.resilience.supervisor`): how long a worker
-may run before it is killed, and whether a run resumes from a checkpoint
-journal.  Recovery itself needs no setting: a failed cell gets one more
-attempt, on the reference engine, whenever :func:`is_retryable` says that
-attempt can succeed, and a failed worker's unfinished cells run once in
-the parent.
+The supervised grid runner (see :mod:`repro.resilience.supervisor`) has
+one setting, ``timeout_s``: how long a worker may run before it is killed
+(:func:`check_timeout` validates it).  Recovery itself needs no setting:
+a failed cell gets one more attempt, on the reference engine, whenever
+:func:`is_retryable` says that attempt can succeed, and a failed worker's
+unfinished cells run once in the parent.  Resuming needs none either: an
+interrupted grid resumes by being run again on the same store.
 
 Every recovery — and every failure that exhausted the ladder — is recorded
 as a structured :class:`FailureReport` so partial completions can explain
@@ -30,10 +30,9 @@ from repro.errors import (
 )
 
 __all__ = [
-    "DEFAULT_RESILIENCE",
     "FailureReport",
-    "ResilienceConfig",
     "cause_chain",
+    "check_timeout",
     "is_retryable",
     "render_failures",
 ]
@@ -75,30 +74,13 @@ def cause_chain(error: BaseException, limit: int = 8) -> Tuple[str, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """How supervised execution reacts to failure (see module docstring).
-
-    ``timeout_s`` is the wall-clock budget of one worker (``None``
-    disables timeouts); a worker past it is killed and its unfinished
-    cells run in the parent.  ``resume`` makes
-    :meth:`~repro.experiments.runner.ExperimentRunner.run_grid` reload the
-    checkpoint journal of an interrupted identical grid and re-execute only
-    the missing cells.
-    """
-
-    timeout_s: Optional[float] = None
-    resume: bool = False
-
-    def validate(self) -> "ResilienceConfig":
-        """Raise :class:`~repro.errors.ResilienceError` on invalid settings."""
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ResilienceError(f"timeout_s must be > 0, got {self.timeout_s}")
-        return self
-
-
-#: What ``run_grid`` uses when the runner carries no explicit config.
-DEFAULT_RESILIENCE = ResilienceConfig()
+def check_timeout(timeout_s: Optional[float]) -> Optional[float]:
+    """``timeout_s`` itself, the wall-clock budget of one grid worker
+    (``None`` disables it); a non-positive budget raises
+    :class:`~repro.errors.ResilienceError`."""
+    if timeout_s is not None and timeout_s <= 0:
+        raise ResilienceError(f"timeout_s must be > 0, got {timeout_s}")
+    return timeout_s
 
 
 @dataclass(frozen=True)

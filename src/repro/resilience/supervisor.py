@@ -23,9 +23,18 @@ Every cell climbs the first rung on its own, in-process or in a worker:
 the runner's engine (under the default ``fast``, its vectorized kernel),
 then the reference engine.
 
-Completed reports are always adopted into the runner's memo and
-checkpointed to the grid's :class:`~repro.resilience.journal.ResumeJournal`
-*before* any failure surfaces, so a partial grid is never wasted work.
+Completed reports are always adopted into the runner's memo *before*
+any failure surfaces, so a partial grid is never wasted work.  With a
+persistent store the parent also saves each one as a ``report`` entry of
+the :class:`~repro.engine.store.TraceStore` as it arrives.  Before it
+schedules anything, a grid adopts the stored reports of its cells, so an
+interrupted grid resumes by being run again, with no flag; a grid that
+completes deletes its cells' entries.  An entry's key is the cell's
+:attr:`~repro.engine.grid.GridCell.key`, the runner's
+:meth:`spawn_spec` without the cache directory (budgets, seed,
+organisation, energy parameters, engine, sanitize switch) and
+:func:`~repro.engine.store.source_digest`, so a change to any of them
+adopts nothing.
 Every incident is recorded as a
 :class:`~repro.resilience.policy.FailureReport`; unrecovered failures raise
 :class:`~repro.errors.CellFailure` with those reports attached.
@@ -55,18 +64,12 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import CellFailure, ResilienceError, RetriesExhausted
+from repro.errors import CellFailure, RetriesExhausted
 from repro.resilience import chaos
-from repro.resilience.journal import (
-    ResumeJournal,
-    cell_content_key,
-    grid_digest,
-    report_from_dict,
-)
 from repro.resilience.policy import (
     FailureReport,
-    ResilienceConfig,
     cause_chain,
+    check_timeout,
     is_retryable,
     render_failures,
 )
@@ -83,7 +86,12 @@ _EXIT_GRACE_S = 5.0
 
 @dataclass(frozen=True)
 class GridSummary:
-    """What one supervised grid actually did, by cell content key."""
+    """What one supervised grid actually did, by :attr:`GridCell.key`.
+
+    ``memoised`` cells were already in the runner's memo, ``resumed`` ones
+    were adopted from the store (an earlier, interrupted run of the grid),
+    and ``executed`` ones were simulated.
+    """
 
     total: int
     memoised: Tuple[str, ...]
@@ -168,7 +176,7 @@ def run_cell(
     appends an unrecovered :class:`FailureReport` and raises
     :class:`~repro.errors.RetriesExhausted` with the last underlying error
     chained.  The cell's label (its chaos key and ``FailureReport.cell``)
-    names the cache the way the journal's content key does, e.g.
+    names its benchmark, scheme, WPA and cache, e.g.
     ``crc:way-placement:wpa16384:icache=16384/8/32``.
     """
     geometry = cell.machine.icache
@@ -407,25 +415,36 @@ def _run_parallel(
 # ---------------------------------------------------------------------------
 # The grid itself
 # ---------------------------------------------------------------------------
+def _entry_keys(runner: Any, cells: Sequence["GridCell"]) -> Dict["GridCell", str]:
+    """Each cell's ``report`` entry key (see the module docstring)."""
+    from repro.engine.store import source_digest
+
+    spec = {
+        name: value
+        for name, value in runner.spawn_spec().items()
+        if name != "cache_dir"
+    }
+    suffix = f"|{spec!r}|src={source_digest()}"
+    return {cell: cell.key + suffix for cell in cells}
+
+
 def supervise_grid(
     runner: Any,
     cells: Sequence["GridCell"],
     jobs: int = 1,
-    config: Optional[ResilienceConfig] = None,
+    timeout_s: Optional[float] = None,
 ) -> List[SimulationReport]:
     """Run a grid under supervision; returns reports in input order.
 
-    See the module docstring for the recovery ladder.  The runner's memo
-    is always left holding every report that completed, the run is
-    checkpointed to a resume journal when a persistent cache directory is
-    available, and the structured outcome lands on ``runner.last_grid`` /
-    ``runner.last_failures``.
+    See the module docstring for the recovery ladder and the stored
+    reports.  ``timeout_s`` is the wall-clock budget of one worker
+    (``None``: no timeout).  The runner's memo is always left holding
+    every report that completed, and the structured outcome lands on
+    ``runner.last_grid`` / ``runner.last_failures``.
     """
-    from repro.resilience.policy import DEFAULT_RESILIENCE
-
     cells = list(cells)
     jobs = max(1, int(jobs))
-    config = (config or DEFAULT_RESILIENCE).validate()
+    check_timeout(timeout_s)
     failures: List[FailureReport] = []
     stats = _new_stats()
     executed: Set[str] = set()
@@ -434,43 +453,27 @@ def supervise_grid(
     memoised: Set[str] = set()
     first_error: Optional[BaseException] = None
 
-    # -- checkpoint journal -------------------------------------------------
-    journal: Optional[ResumeJournal] = None
+    # -- adopt what the memo and the store hold, group the rest -------------
     store = getattr(runner, "store", None)
-    if store is not None:
-        key = grid_digest(
-            runner.spawn_spec(), [cell_content_key(cell) for cell in cells]
-        )
-        journal = ResumeJournal.for_grid(store.root, key)
-    elif config.resume:
-        raise ResilienceError(
-            "--resume needs a persistent cache directory to hold the grid "
-            "journal; enable the trace cache or drop --resume"
-        )
-    if journal is not None and config.resume:
-        completed = journal.load()
-        for cell in cells:
-            content = cell_content_key(cell)
-            if content in completed and not runner.has_report(cell):
-                runner.adopt_report(cell, report_from_dict(completed[content]))
-                resumed.add(content)
-
-    # -- figure out what still needs simulating -----------------------------
+    entry_keys = _entry_keys(runner, cells) if store is not None else {}
     groups: Dict[str, List["GridCell"]] = {}
     for cell in cells:
-        content = cell_content_key(cell)
         if runner.has_report(cell):
-            if content not in resumed:
-                memoised.add(content)
+            if cell.key not in resumed:
+                memoised.add(cell.key)
+            continue
+        stored = store.load_report(entry_keys[cell]) if store is not None else None
+        if stored is not None:
+            runner.adopt_report(cell, stored)
+            resumed.add(cell.key)
             continue
         groups.setdefault(cell.benchmark, []).append(cell)
 
     def adopt(cell: "GridCell", report: SimulationReport) -> None:
         runner.adopt_report(cell, report)
-        content = cell_content_key(cell)
-        executed.add(content)
-        if journal is not None:
-            journal.record(content, report)
+        executed.add(cell.key)
+        if store is not None:
+            store.save_report(entry_keys[cell], report)
 
     def run_in_process(group: List["GridCell"]) -> None:
         def emit(index: int, report: SimulationReport) -> None:
@@ -478,26 +481,16 @@ def supervise_grid(
 
         def fail(index: int, error: BaseException) -> None:
             nonlocal first_error
-            failed.add(cell_content_key(group[index]))
+            failed.add(group[index].key)
             if first_error is None:
                 first_error = error
 
         run_cells(runner, group, failures, emit, fail)
-        if journal is not None:
-            journal.flush()
 
     # Workers parallelize across benchmarks, so one benchmark gains nothing
     # from them.
     if jobs > 1 and len(groups) > 1:
-
-        def adopt_and_flush(cell: "GridCell", report: SimulationReport) -> None:
-            adopt(cell, report)
-            if journal is not None:
-                journal.flush()
-
-        handoffs = _run_parallel(
-            runner, groups, jobs, config.timeout_s, failures, adopt_and_flush, stats
-        )
+        handoffs = _run_parallel(runner, groups, jobs, timeout_s, failures, adopt, stats)
         for benchmark, group, cause in handoffs:
             before = len(failed)
             run_in_process(group)
@@ -529,8 +522,6 @@ def supervise_grid(
         peak_worker_rss_kb=stats["peak_rss_kb"],
     )
     if failed:
-        if journal is not None:
-            journal.flush()
         print(render_failures(failures), file=sys.stderr)
         raise CellFailure(
             f"{len(failed)} grid cell(s) failed; "
@@ -538,8 +529,12 @@ def supervise_grid(
             f"cell(s) completed and were kept",
             failures=failures,
         ) from first_error
-    if journal is not None:
-        journal.discard()
+    if store is not None:
+        # Nothing outlives a completed grid.  The end-to-end benchmark's
+        # warm workloads rerun grids on one store and must replay every
+        # cell; this delete can go once they clear report entries before
+        # each sample themselves.
+        store.delete_reports(entry_keys.values())
     if failures:
         print(render_failures(failures), file=sys.stderr)
     return [runner.report(**cell.report_kwargs()) for cell in cells]

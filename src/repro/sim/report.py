@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
 from repro.cache.access import FetchCounters
 from repro.cache.geometry import CacheGeometry
@@ -30,6 +32,50 @@ class SimulationReport:
     @property
     def icache_energy_pj(self) -> float:
         return self.breakdown.icache_pj
+
+    def to_payload(self) -> Dict[str, Any]:
+        """A JSON-ready record that :meth:`from_payload` rebuilds exactly.
+
+        Every field is an ``int``, ``str`` or IEEE double, and JSON
+        round-trips doubles exactly, so the rebuilt report is bit-identical.
+        """
+        return {
+            "benchmark": self.benchmark,
+            "scheme": self.scheme,
+            "layout_description": self.layout_description,
+            "geometry": dataclasses.asdict(self.geometry),
+            "wpa_size": self.wpa_size,
+            "counters": dataclasses.asdict(self.counters),
+            "cycles": self.cycles,
+            "breakdown": dataclasses.asdict(self.breakdown),
+            "processor": {
+                "instructions": self.processor.instructions,
+                "cycles": self.processor.cycles,
+                "breakdown": dataclasses.asdict(self.processor.breakdown),
+                "core_pj": self.processor.core_pj,
+            },
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any]) -> "SimulationReport":
+        """Rebuild the report a :meth:`to_payload` record describes."""
+        processor = payload["processor"]
+        return cls(
+            benchmark=payload["benchmark"],
+            scheme=payload["scheme"],
+            layout_description=payload["layout_description"],
+            geometry=CacheGeometry(**payload["geometry"]),
+            wpa_size=payload["wpa_size"],
+            counters=FetchCounters(**payload["counters"]),
+            cycles=payload["cycles"],
+            breakdown=EnergyBreakdown(**payload["breakdown"]),
+            processor=ProcessorReport(
+                instructions=processor["instructions"],
+                cycles=processor["cycles"],
+                breakdown=EnergyBreakdown(**processor["breakdown"]),
+                core_pj=processor["core_pj"],
+            ),
+        )
 
     @property
     def processor_energy_pj(self) -> float:

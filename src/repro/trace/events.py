@@ -69,10 +69,6 @@ class LineEventTrace:
             return 0.0
         return self.num_fetches / self.num_events
 
-    def touched_lines(self) -> np.ndarray:
-        """Sorted unique line addresses in the trace (the code footprint)."""
-        return np.unique(self.line_addrs)
-
     def segment(self, start: int, end: int) -> "LineEventTrace":
         """Events ``[start, end)`` as a new trace (views, not copies).
 

@@ -59,6 +59,19 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--strict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["figure4"], ["figure5"], ["figure6"], ["report"], ["export", "--figure", "4"]],
+        ids=lambda command: command[0],
+    )
+    def test_resume_flag_is_gone(self, command, capsys):
+        """An interrupted grid resumes by running the same command again."""
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--resume"])
+        assert exit_info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "3"])
     @pytest.mark.parametrize(
         "command",

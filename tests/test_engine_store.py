@@ -145,10 +145,65 @@ class TestTraceStore:
         store.save_block_trace("k1", trace)
         store.save_events("k2", events)
         stats = store.stats()
-        assert stats["entries"] == {"blocks": 1, "events": 1, "profile": 0}
+        assert stats["entries"] == {"blocks": 1, "events": 1, "profile": 0, "report": 0}
         assert stats["total_bytes"] > 0
         assert store.clear() == 2
-        assert store.stats()["entries"] == {"blocks": 0, "events": 0, "profile": 0}
+        assert store.stats()["entries"] == {
+            "blocks": 0, "events": 0, "profile": 0, "report": 0
+        }
+
+
+class TestReportEntries:
+    """A finished grid cell's report, as a ``report`` entry of the store."""
+
+    @pytest.fixture()
+    def report(self, fast_runner):
+        return fast_runner.report("crc", "way-placement", wpa_size=8 * KB)
+
+    def test_payload_roundtrips_bit_identically(self, report):
+        payload = json.loads(json.dumps(report.to_payload()))
+        assert type(report).from_payload(payload) == report
+
+    def test_save_load_roundtrip(self, store, report):
+        assert store.load_report("cell") is None
+        path = store.save_report("cell", report)
+        assert path.name.startswith("report-") and path.suffix == ".json"
+        assert store.load_report("cell") == report
+        assert store.kind_hits["report"] == 1 and store.kind_misses["report"] == 1
+        assert store.entries()["report"] == 1
+
+    def test_torn_entry_is_a_miss_and_discarded(self, store, report):
+        rule = ChaosRule("store.save", "truncate", match="report:cell", times=1)
+        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+            path = store.save_report("cell", report)
+        assert path.exists()
+        assert store.load_report("cell") is None
+        assert not path.exists()
+        assert store.kind_misses["report"] == 1
+
+    @pytest.mark.parametrize("field", ["cache_key", "cache_kind"])
+    def test_stale_or_foreign_entry_is_a_miss_and_discarded(
+        self, store, report, field
+    ):
+        path = store.save_report("cell", report)
+        payload = json.loads(path.read_text())
+        payload[field] = "someone-else"
+        path.write_text(json.dumps(payload))
+        assert store.load_report("cell") is None
+        assert not path.exists()
+
+    def test_delete_reports_skips_absent_entries(self, store, report):
+        store.save_report("a", report)
+        store.save_report("b", report)
+        store.delete_reports(["a", "b", "never-saved"])
+        assert store.entries()["report"] == 0
+        store.delete_reports(["a"])  # idempotent
+
+    def test_completed_grid_leaves_no_report_entries(self, tmp_path):
+        runner = make_runner(tmp_path / "cache")
+        runner.run_grid(TestRunGrid.CELLS, jobs=1)
+        assert len(runner.last_grid.executed) == len(TestRunGrid.CELLS)
+        assert runner.store.entries()["report"] == 0
 
 
 class TestStoreFailureModes:

@@ -1,7 +1,6 @@
 """Tests for figure-data export and the reproduction report."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -21,8 +20,6 @@ from repro.experiments.report import paper_checklist, reproduction_report
 from repro.experiments.runner import ExperimentRunner
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosConfig, ChaosRule
-from repro.resilience.journal import cell_content_key
-from repro.resilience.policy import ResilienceConfig
 from repro.sim.machine import XSCALE_BASELINE
 
 SUBSET = ["crc", "sha"]
@@ -147,16 +144,14 @@ class TestReport:
         assert runner.last_grid.total == total
 
     def test_interrupted_serial_report_resumes(self, tmp_path):
-        def make_runner(cache_dir, resilience=None):
+        def make_runner(cache_dir):
             return ExperimentRunner(
                 eval_instructions=8_000,
                 profile_instructions=4_000,
                 cache_dir=cache_dir,
-                resilience=resilience,
             )
 
-        fail_fast = ResilienceConfig()
-        first = make_runner(tmp_path, fail_fast)
+        first = make_runner(tmp_path)
         # Two firings: the first sha way-memoization cell fails on both
         # engines, so exactly one cell fails.
         rule = ChaosRule("cell", "raise", match="sha:way-memoization", times=2)
@@ -165,18 +160,19 @@ class TestReport:
                 reproduction_report(first, benchmarks=SUBSET)
         [failed] = first.last_grid.failed
 
-        resumed = make_runner(tmp_path, dataclasses.replace(fail_fast, resume=True))
+        # Running the same report again, with no flag, resumes it.
+        resumed = make_runner(tmp_path)
         text = reproduction_report(resumed, benchmarks=SUBSET)
         summary = resumed.last_grid
         assert summary.executed == (failed,)
         assert len(summary.resumed) == summary.total - 1
-        journaled = {
+        stored = {
             "figure 4": GridCell("crc", "way-placement", wpa_size=32 * 1024),
             "figure 5": GridCell("crc", "way-placement", wpa_size=1024),
             "figure 6": GridCell(
                 "crc", "way-memoization", XSCALE_BASELINE.with_icache(16 * 1024, 8)
             ),
         }
-        for figure, cell in journaled.items():
-            assert cell_content_key(cell) in summary.resumed, figure
+        for figure, cell in stored.items():
+            assert cell.key in summary.resumed, figure
         assert text == reproduction_report(make_runner("off"), benchmarks=SUBSET)

@@ -1,7 +1,10 @@
 """Unit tests for the experiment runner's caching pipeline."""
 
+import dataclasses
+
 import pytest
 
+from repro.engine.grid import GridCell
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentRunner
 from repro.layout.placement import LayoutPolicy
@@ -35,6 +38,49 @@ class TestCaching:
         assert a is b
         c = runner.report("crc", "baseline", XSCALE_BASELINE.with_icache(16 * 1024, 8))
         assert c is not a
+
+
+class TestCellIdentity:
+    """The normalised grid cell is the memo key and the one cell identity."""
+
+    def test_memo_key_covers_the_whole_machine(self):
+        slow_memory = dataclasses.replace(XSCALE_BASELINE, memory_latency_cycles=100)
+
+        def fresh():
+            return ExperimentRunner(
+                eval_instructions=20_000, profile_instructions=8_000, cache_dir="off"
+            )
+
+        runner = fresh()
+        fast = runner.report("crc", "baseline")
+        slow = runner.report("crc", "baseline", slow_memory)
+        assert slow == fresh().report("crc", "baseline", slow_memory)
+        assert slow.cycles > fast.cycles
+
+    def test_key_distinguishes_every_cell_axis(self):
+        base = GridCell("crc", "baseline")
+        variants = [
+            GridCell("sha", "baseline"),
+            GridCell("crc", "way-placement"),
+            GridCell("crc", "baseline", wpa_size=8 * 1024),
+            GridCell("crc", "baseline", same_line_skip=False),
+            GridCell("crc", "baseline", XSCALE_BASELINE.with_icache(16 * 1024, 16)),
+            GridCell("crc", "baseline", dataclasses.replace(XSCALE_BASELINE, page_size=2048)),
+            GridCell(
+                "crc",
+                "baseline",
+                dataclasses.replace(XSCALE_BASELINE, memory_latency_cycles=100),
+            ),
+        ]
+        keys = {cell.key for cell in variants}
+        assert base.key not in keys
+        assert len(keys) == len(variants)
+
+    def test_l0_size_only_shapes_the_filter_cache(self):
+        assert GridCell("crc", "baseline", l0_size=256) == GridCell("crc", "baseline")
+        assert GridCell("crc", "baseline", l0_size=256).key == GridCell("crc", "baseline").key
+        small, large = (GridCell("crc", "filter-cache", l0_size=size) for size in (256, 512))
+        assert small != large and small.key != large.key
 
 
 class TestDefaults:

@@ -1,4 +1,4 @@
-"""Tests for the resilience policy layer: configs, retryability, reports."""
+"""Tests for the resilience policy layer: the timeout, retryability, reports."""
 
 import pytest
 
@@ -11,10 +11,9 @@ from repro.errors import (
 )
 from repro.resilience.chaos import InjectedFault
 from repro.resilience.policy import (
-    DEFAULT_RESILIENCE,
     FailureReport,
-    ResilienceConfig,
     cause_chain,
+    check_timeout,
     is_retryable,
     render_failures,
 )
@@ -58,20 +57,15 @@ class TestCauseChain:
         assert len(cause_chain(error, limit=8)) == 8
 
 
-class TestResilienceConfig:
-    def test_default_is_valid(self):
-        assert DEFAULT_RESILIENCE.validate() is DEFAULT_RESILIENCE
+class TestTimeout:
+    @pytest.mark.parametrize("timeout_s", [None, 0.5, 600])
+    def test_valid_timeouts_pass_through(self, timeout_s):
+        assert check_timeout(timeout_s) == timeout_s
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"timeout_s": -5.0},
-            {"timeout_s": 0},
-        ],
-    )
-    def test_invalid_settings_raise(self, kwargs):
+    @pytest.mark.parametrize("timeout_s", [-5.0, 0])
+    def test_non_positive_timeout_raises(self, timeout_s):
         with pytest.raises(ResilienceError):
-            ResilienceConfig(**kwargs).validate()
+            check_timeout(timeout_s)
 
 
 class TestFailureReports:

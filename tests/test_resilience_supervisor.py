@@ -3,11 +3,12 @@
 The acceptance bar (see docs/robustness.md): a seeded chaos run that
 crashes workers, hangs workers, and injects store faults mid-grid must
 still return reports bit-identical to a fault-free serial run, with a
-FailureReport describing every recovery; and an interrupted grid must
-resume from its journal, re-executing only the missing cells.
+FailureReport describing every recovery; and an interrupted grid, run
+again on the same store with no flag, must re-execute only the missing
+cells.
 """
 
-import dataclasses
+import os
 import warnings
 
 import pytest
@@ -17,9 +18,7 @@ from repro.errors import CellFailure, RetriesExhausted, SchemeError
 from repro.experiments.runner import ExperimentRunner
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosConfig, ChaosRule
-from repro.resilience.journal import ResumeJournal, cell_content_key, grid_digest
-from repro.resilience.policy import ResilienceConfig
-from repro.resilience.supervisor import run_cell
+from repro.resilience.supervisor import run_cell, supervise_grid
 from repro.sim.machine import XSCALE_BASELINE
 from repro.sim.simulator import resolve_engine
 
@@ -147,7 +146,7 @@ class TestChaosGridAcceptance:
         )
         runner = make_runner(
             tmp_path / "cache",
-            resilience=ResilienceConfig(timeout_s=2.0),
+            timeout_s=2.0,
         )
         with chaos.active(config):
             got = runner.run_grid(CELLS, jobs=2)
@@ -248,7 +247,7 @@ class TestLocalPool:
         try:
             runner = make_runner(
                 tmp_path / "cache",
-                resilience=ResilienceConfig(timeout_s=10.0),
+                timeout_s=10.0,
             )
             rule = ChaosRule("store.save", "enospc", times=-1)
             with warnings.catch_warnings(record=True) as caught:
@@ -277,7 +276,7 @@ class TestLadderChaos:
     def test_hung_worker_and_kernel_trip_recover(self):
         want = make_runner(engine="reference").run_grid(self.SWEEP_CELLS, jobs=1)
         runner = make_runner(
-            resilience=ResilienceConfig(timeout_s=2.0),
+            timeout_s=2.0,
         )
         config = ChaosConfig(
             seed=13,
@@ -315,12 +314,44 @@ class TestChaosDrill:
         assert summary["ok"], summary["incidents"]
         assert summary["identical"] and summary["recovered"]
 
+    @pytest.mark.parametrize("seed", [1, 7, 13])
+    def test_drill_tears_a_store_write_and_reads_it_back(self, seed, monkeypatch):
+        """The schedule's truncate rule fires, and the drill's fault-free
+        re-run on the same store loads the torn entry and discards it."""
+        from repro.engine import store as store_module
+        from repro.engine.store import TraceStore
+        from repro.resilience.drill import run_drill
+
+        torn, discarded = [], []
+        corrupt_file = store_module.corrupt_file
+
+        def tearing(site, key, path):
+            size = os.path.getsize(path)
+            corrupt_file(site, key, path)
+            if os.path.getsize(path) < size:
+                torn.append(key.split(":", 1)[0])
+
+        discard = TraceStore._discard
+
+        def discarding(store, path):
+            discarded.append(path.name.split("-", 1)[0])
+            discard(store, path)
+
+        monkeypatch.setattr(store_module, "corrupt_file", tearing)
+        monkeypatch.setattr(TraceStore, "_discard", discarding)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            summary = run_drill(seed=seed, jobs=1)
+        assert summary["ok"], summary["incidents"]
+        assert torn == ["events"]
+        assert discarded == ["events"]
+
 
 class TestPartialCompletion:
     """Satellite: completed work is adopted before a failure surfaces."""
 
     def test_serial_failure_keeps_completed_cells(self):
-        runner = make_runner(resilience=ResilienceConfig())
+        runner = make_runner()
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure) as info:
@@ -328,14 +359,14 @@ class TestPartialCompletion:
         for cell in CELLS[:3]:
             assert runner.has_report(cell), "completed cells must be adopted"
         assert not runner.has_report(CELLS[3])
-        assert runner.last_grid.failed == (cell_content_key(CELLS[3]),)
+        assert runner.last_grid.failed == (CELLS[3].key,)
         fatal = [f for f in info.value.failures if not f.recovered]
         assert len(fatal) == 1 and fatal[0].benchmark == "sha"
 
     def test_parallel_failure_keeps_other_chunks_and_partial_chunks(self):
         """A chunk that fails mid-way ships its completed cells back; the
         supervisor adopts them (and every other chunk) before raising."""
-        runner = make_runner(resilience=ResilienceConfig())
+        runner = make_runner()
         rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure):
@@ -353,7 +384,7 @@ class TestPartialCompletion:
         with pytest.raises(CellFailure):
             runner.run_grid([bad, good], jobs=2)
         assert runner.has_report(good)
-        assert runner.last_grid.failed == (cell_content_key(bad),)
+        assert runner.last_grid.failed == (bad.key,)
         cell_incidents = [
             f for f in runner.last_failures if f.site == "cell" and f.benchmark == "crc"
         ]
@@ -365,7 +396,7 @@ class TestPartialCompletion:
         assert "RetriesExhausted" in worker.causes[0]
 
     def test_cell_failure_chains_the_underlying_error(self):
-        runner = make_runner(resilience=ResilienceConfig())
+        runner = make_runner()
         rule = ChaosRule("cell", "raise", match="crc", times=-1)
         with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
             with pytest.raises(CellFailure) as info:
@@ -373,76 +404,108 @@ class TestPartialCompletion:
         assert isinstance(info.value.__cause__, RetriesExhausted)
 
 
+def interrupt(cache, **kwargs):
+    """Run CELLS on ``cache`` with the last cell failing on both engines;
+    returns the interrupted runner."""
+    runner = make_runner(cache, **kwargs)
+    rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
+    with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
+        with pytest.raises(CellFailure):
+            runner.run_grid(CELLS, jobs=1)
+    return runner
+
+
 class TestResumeAcceptance:
-    """Interrupt a grid, resume it, re-execute only the missing cells."""
+    """Interrupt a grid, run it again with no flag, re-execute only the
+    missing cells."""
 
-    def test_interrupted_grid_resumes_from_journal(self, tmp_path):
+    def test_interrupted_grid_resumes_by_running_again(self, tmp_path):
         cache = tmp_path / "cache"
-        fail_fast = ResilienceConfig()
-        first = make_runner(cache, resilience=fail_fast)
-        rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
-        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
-            with pytest.raises(CellFailure):
-                first.run_grid(CELLS, jobs=1)
+        first = interrupt(cache)
+        # the store holds exactly the three completed cells
+        assert first.store.entries()["report"] == 3
 
-        # the journal holds exactly the three completed cells
-        key = grid_digest(first.spawn_spec(), [cell_content_key(c) for c in CELLS])
-        journal = ResumeJournal.for_grid(cache, key)
-        completed = journal.load()
-        assert set(completed) == {cell_content_key(c) for c in CELLS[:3]}
-
-        # a fresh process resumes: only the missing cell re-executes
-        resumed = make_runner(
-            cache, resilience=dataclasses.replace(fail_fast, resume=True)
-        )
-        reports = resumed.run_grid(CELLS, jobs=1)
+        # a fresh process runs the grid again: only the missing cell runs
+        again = make_runner(cache)
+        reports = again.run_grid(CELLS, jobs=1)
         assert reports == fault_free_reports()
-        summary = resumed.last_grid
-        assert set(summary.resumed) == {cell_content_key(c) for c in CELLS[:3]}
-        assert summary.executed == (cell_content_key(CELLS[3]),)
-        # clean completion deletes the journal
-        assert not journal.path.exists()
+        summary = again.last_grid
+        assert set(summary.resumed) == {c.key for c in CELLS[:3]}
+        assert summary.executed == (CELLS[3].key,)
+        # clean completion deletes every report entry
+        assert again.store.entries()["report"] == 0
 
-    def test_cache_clear_discards_grid_journals(self, tmp_path):
+    def test_parallel_run_again_executes_only_the_failed_cells(self, tmp_path):
         cache = tmp_path / "cache"
-        first = make_runner(cache, resilience=ResilienceConfig())
-        rule = ChaosRule("cell", "raise", match="sha:way-placement", times=-1)
-        with chaos.active(ChaosConfig(seed=0, rules=(rule,))):
-            with pytest.raises(CellFailure):
-                first.run_grid(CELLS, jobs=1)
-        key = grid_digest(first.spawn_spec(), [cell_content_key(c) for c in CELLS])
-        journal = ResumeJournal.for_grid(cache, key)
-        assert journal.path.exists()
+        interrupt(cache)
+        again = make_runner(cache)
+        assert again.run_grid(CELLS, jobs=2) == fault_free_reports()
+        assert again.last_grid.executed == (CELLS[3].key,)
+        assert len(again.last_grid.resumed) == 3
+        assert again.store.entries()["report"] == 0
 
-        # the journal is counted like a store entry, and then it is gone
-        entries = sum(first.store.entries().values())
-        assert first.store.clear() == entries + 1
-        assert not journal.path.exists()
+    def test_cache_clear_discards_stored_reports(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = interrupt(cache)
+        # report entries are counted like every other entry, then gone
+        entries = first.store.entries()
+        assert entries["report"] == 3
+        assert first.store.clear() == sum(entries.values())
 
-        # so a resumed rerun adopts nothing from before the clear
-        resumed = make_runner(cache, resilience=ResilienceConfig(resume=True))
-        assert resumed.run_grid(CELLS, jobs=1) == fault_free_reports()
-        assert resumed.last_grid.resumed == ()
-        assert len(resumed.last_grid.executed) == len(CELLS)
+        # so running again adopts nothing from before the clear
+        again = make_runner(cache)
+        assert again.run_grid(CELLS, jobs=1) == fault_free_reports()
+        assert again.last_grid.resumed == ()
+        assert len(again.last_grid.executed) == len(CELLS)
 
     def test_resume_of_a_different_grid_re_executes_everything(self, tmp_path):
+        """A budget change is a different grid: nothing is adopted."""
         cache = tmp_path / "cache"
-        config = ResilienceConfig(resume=True)
-        runner = make_runner(cache, resilience=config)
-        runner.run_grid(CELLS[:2], jobs=1)
-        # different eval budget => different grid digest => cold resume
-        other = make_runner(cache, eval_instructions=9_000, resilience=config)
-        other.run_grid(CELLS[:2], jobs=1)
+        interrupt(cache)
+        other = make_runner(cache, eval_instructions=9_000)
+        other.run_grid(CELLS, jobs=1)
         assert other.last_grid.resumed == ()
-        assert len(other.last_grid.executed) == 2
+        assert len(other.last_grid.executed) == len(CELLS)
+
+    def test_an_engine_change_adopts_nothing(self, tmp_path):
+        cache = tmp_path / "cache"
+        interrupt(cache)
+        other = make_runner(cache, engine="reference")
+        assert other.run_grid(CELLS, jobs=1) == fault_free_reports()
+        assert other.last_grid.resumed == ()
+        assert len(other.last_grid.executed) == len(CELLS)
+
+    def test_a_changed_source_digest_adopts_nothing(self, tmp_path, monkeypatch):
+        """Reports computed by other code are never adopted."""
+        from repro.engine import store as store_module
+
+        cache = tmp_path / "cache"
+        interrupt(cache)
+        monkeypatch.setattr(store_module, "source_digest", lambda: "other-code")
+        other = make_runner(cache)
+        assert other.run_grid(CELLS, jobs=1) == fault_free_reports()
+        assert other.last_grid.resumed == ()
+        assert len(other.last_grid.executed) == len(CELLS)
+
+    def test_source_digest_waits_for_the_first_stored_grid(self, tmp_path):
+        """Building a runner never hashes the package's source."""
+        from repro.engine.store import source_digest
+
+        source_digest.cache_clear()
+        runner = make_runner(tmp_path / "cache")
+        assert source_digest.cache_info().misses == 0
+        runner.run_grid(CELLS[:1], jobs=1)
+        assert source_digest.cache_info().misses == 1
 
 
 class TestRunnerSurface:
-    def test_runner_validates_resilience_config(self):
+    def test_runner_validates_timeout(self):
         from repro.errors import ResilienceError
 
         with pytest.raises(ResilienceError):
-            make_runner(resilience=ResilienceConfig(timeout_s=-2.0))
+            make_runner(timeout_s=-2.0)
+        with pytest.raises(ResilienceError):
+            supervise_grid(make_runner(), CELLS[:1], timeout_s=0)
 
     def test_default_config_reports_clean_summary(self):
         runner = make_runner()
@@ -500,22 +563,12 @@ class TestCliFlags:
         from repro.cli import _make_runner, build_parser
 
         args = build_parser().parse_args(
-            [
-                "figure4",
-                "--benchmarks",
-                "crc",
-                "--timeout",
-                "30",
-                "--resume",
-            ]
+            ["figure4", "--benchmarks", "crc", "--timeout", "30"]
         )
-        runner = _make_runner(args)
-        config = runner.resilience
-        assert config.timeout_s == 30.0
-        assert config.resume is True
+        assert _make_runner(args).timeout_s == 30.0
 
     def test_no_flags_means_no_explicit_config(self):
         from repro.cli import _make_runner, build_parser
 
         args = build_parser().parse_args(["figure4", "--benchmarks", "crc"])
-        assert _make_runner(args).resilience is None
+        assert _make_runner(args).timeout_s is None

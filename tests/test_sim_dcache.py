@@ -1,5 +1,6 @@
 """Tests for the data-stream generator and D-cache refinement."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -48,7 +49,7 @@ class TestSynthesis:
 
     def test_addresses_in_data_segments(self):
         events = synthesize_data_events(data_spec_for("patricia"), 3000)
-        for addr in events.touched_lines().tolist():
+        for addr in np.unique(events.line_addrs).tolist():
             assert addr >= DATA_BASE
             assert addr < STACK_BASE + 2**20
 

@@ -159,7 +159,3 @@ class TestLineEventTraceValidation:
         assert trace.num_fetches == 0
         assert trace.compression_ratio == 0.0
 
-    def test_touched_lines_unique_sorted(self, toy_program, toy_models):
-        _, events = _walk_events(toy_program, toy_models, 700)
-        touched = events.touched_lines()
-        assert (np.diff(touched) > 0).all()
